@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Sweep every identity across the built-in sequences and print a report.
 
-This is the long-form companion to `umbraldob verify`: it runs the whole
-matrix in one go, prints per-case verdicts plus interval widths where they
-exist, and exits nonzero if anything failed.  Useful for eyeballing how the
-certified intervals tighten or loosen across sequences.
+This is the long-form companion to `umbraldob verify`: it runs every suite
+in the identity registry in one go, the sequence-dependent ones once per
+built-in sequence, and prints one verdict line per suite and sequence, with
+the widest certified interval where the suite reads its verdicts from
+intervals.  A sequence the suite has no reference route for is reported as
+skipped.  Exits nonzero if anything failed.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10 --skip-enumeration
@@ -15,105 +17,56 @@ import sys
 import time
 from fractions import Fraction
 
-from umbraldob.cigl import cigl_q_bell, cigl_q_dobinski_exact, enumerate_partitions
-from umbraldob.dobinski import (
-    dobinski_bell,
-    rota_bell_exact,
-    verify_falling_moment,
-    verify_pmf_via_generating_function,
-)
-from umbraldob.operator_calc import dobinski_specialization, verify_conjugation
-from umbraldob.umbral_engine import (
-    CLASSICAL,
-    GAUSS_Q,
-    PsiSequence,
-    bell_via_sum,
-    carlitz_q_stirling,
-    stirling2,
-)
+from umbraldob.cigl import enumerate_partitions
+from umbraldob.dobinski import rota_bell_exact
+from umbraldob.errors import UnsupportedSequenceError
+from umbraldob.identities import PER_SEQUENCE, RUNNERS
+from umbraldob.operator_calc import dobinski_specialization
+from umbraldob.umbral_engine import PsiSequence
 
-
-def sequences():
-    return [
-        PsiSequence.classical(),
-        PsiSequence.gauss_q(Fraction(1, 4)),
-        PsiSequence.gauss_q(Fraction(1, 2)),
-        PsiSequence.gauss_q(Fraction(3, 2)),
-        PsiSequence.fibonacci(),
-    ]
+SEQUENCES = [
+    PsiSequence.classical(),
+    PsiSequence.gauss_q(Fraction(1, 4)),
+    PsiSequence.gauss_q(Fraction(1, 2)),
+    PsiSequence.gauss_q(Fraction(3, 2)),
+    PsiSequence.fibonacci(),
+]
 
 
 def run(n_max: int, skip_enumeration: bool) -> int:
-    failures = 0
+    verdicts = []
     t0 = time.perf_counter()
 
-    def case(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        failures += 0 if ok else 1
-        tag = "ok " if ok else "FAIL"
-        print(f"  [{tag}] {name}" + (f"  ({detail})" if detail else ""))
+    def report(label: str, ok: bool, detail: str = "") -> None:
+        verdicts.append(ok)
+        print(f"  [{'ok ' if ok else 'FAIL'}] {label}" + (f"  ({detail})" if detail else ""))
 
-    print(f"falling-moment: normalized interval must contain 1 (n <= {n_max})")
-    for seq in sequences():
-        widths = []
-        ok = True
-        for n in range(n_max + 1):
-            iv = verify_falling_moment(seq, n)
-            ok = ok and iv.contains(1)
-            widths.append(iv.width)
-        case(seq.label, ok, f"max width {max(widths)!s}")
-
-    print(f"dobinski: power-moment interval vs exact reference (n <= {n_max})")
-    table = carlitz_q_stirling(n_max)
-    for seq in sequences():
-        if seq.kind == GAUSS_Q:
-            expected = [bell_via_sum(table, n).evaluate(seq.q) for n in range(n_max + 1)]
-        elif seq.kind == CLASSICAL:
-            expected = [Fraction(rota_bell_exact(n)) for n in range(n_max + 1)]
-        else:
-            print(f"  [ -- ] {seq.label}  (no exact reference; skipped)")
-            continue
-        ok = all(
-            dobinski_bell(seq, n).contains(expected[n]) for n in range(n_max + 1)
-        )
-        case(seq.label, ok)
-
-    print(f"cigl-dobinski: exact polynomial identity (n <= {n_max})")
-    ok = all(cigl_q_dobinski_exact(n) == cigl_q_bell(n) for n in range(n_max + 1))
-    case("zero-block statistic tower", ok)
-
-    print(f"pmf-gf: generating-function verdicts at lambda=1 (n <= {n_max})")
-    for seq in sequences():
-        if seq.kind not in (CLASSICAL, GAUSS_Q):
-            print(f"  [ -- ] {seq.label}  (no numeric q; skipped)")
-            continue
-        ok = all(
-            verify_pmf_via_generating_function(seq, 1, n, order=n_max + 4).passed
-            for n in range(n_max + 1)
-        )
-        case(seq.label, ok)
-
-    print(f"q1-reduction: Carlitz entries at q=1 vs classical triangle (n <= {n_max})")
-    ok = all(
-        table.entry(n, k).evaluate(Fraction(1)) == stirling2(n, k)
-        for n in range(n_max + 1)
-        for k in range(n + 1)
-    )
-    case("triangular solve", ok)
-
-    print("conjugation: closed-form operator action on monomials (degree <= 20)")
-    case("number operator", verify_conjugation(20))
+    for name, runner in RUNNERS.items():
+        print(f"{name} (n <= {n_max})")
+        per_sequence = name in PER_SEQUENCE
+        for seq in SEQUENCES if per_sequence else SEQUENCES[:1]:
+            label = seq.label if per_sequence else "any sequence"
+            try:
+                cases = runner(seq, n_max)
+            except UnsupportedSequenceError:
+                print(f"  [ -- ] {label}  (skipped)")
+                continue
+            widths = [case.interval.width for case in cases if case.interval is not None]
+            report(label, all(case.ok for case in cases), f"max width {max(widths)}" if widths else "")
 
     if not skip_enumeration:
-        print(f"enumeration: brute-force count vs exact routes (n <= {min(n_max, 12)})")
-        ok = True
-        for n in range(min(n_max, 12) + 1):
-            count = sum(1 for _ in enumerate_partitions(n))
-            ok = ok and count == rota_bell_exact(n) == dobinski_specialization(n)
-        case("restricted growth strings", ok)
+        top = min(n_max, 12)
+        print(f"enumeration: brute-force count vs exact routes (n <= {top})")
+        report(
+            "restricted growth strings",
+            all(
+                sum(1 for _ in enumerate_partitions(n)) == rota_bell_exact(n) == dobinski_specialization(n)
+                for n in range(top + 1)
+            ),
+        )
 
-    elapsed = time.perf_counter() - t0
-    print(f"\n{failures} failure(s) in {elapsed:.2f}s")
+    failures = verdicts.count(False)
+    print(f"\n{failures} failure(s) in {time.perf_counter() - t0:.2f}s")
     return 1 if failures else 0
 
 

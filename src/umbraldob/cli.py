@@ -28,27 +28,15 @@ from fractions import Fraction
 import click
 
 from .cigl import PARTITION_CAP, cigl_q_bell, cigl_q_stirling, enumerate_partitions
-from .dobinski import (
-    PsiPoissonDistribution,
-    dobinski_bell,
-    rota_bell_exact,
-    verify_falling_moment,
-    verify_pmf_via_generating_function,
-)
+from .dobinski import PsiPoissonDistribution, dobinski_bell, rota_bell_exact
 from .errors import UmbralDobError
-from .exact_core import CertifiedValue, Poly
-from .operator_calc import dobinski_specialization, verify_conjugation
-from .umbral_engine import (
-    CLASSICAL,
-    GAUSS_Q,
-    PsiSequence,
-    bell_via_sum,
-    carlitz_q_stirling,
-    stirling2,
-)
+from .exact_core import CertifiedValue, Poly, summation_cap
+from .identities import RUNNERS as _IDENTITY_RUNNERS
+from .operator_calc import dobinski_specialization
+from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, stirling2
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
-IDENTITIES = ("falling-moment", "dobinski", "cigl-dobinski", "conjugation", "pmf-gf", "q1-reduction")
+IDENTITIES = tuple(_IDENTITY_RUNNERS)
 FORMATS = ("json", "csv", "pretty")
 
 _JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
@@ -93,26 +81,30 @@ def parse_sequence(descriptor: str) -> PsiSequence:
         _fail(str(exc) or f"unusable sequence {descriptor!r}")
 
 
-def _emit(records: list[dict], fmt: str, csv_lines, pretty_lines) -> None:
+def _emit(fmt: str, csv_header: str, records: list[dict], rows: list[tuple[str, str]]) -> None:
+    """Print the records as one JSON array, or each row's csv or pretty line."""
     if fmt == "json":
         click.echo(json.dumps(records, **_JSON_KW))
-    elif fmt == "csv":
-        for line in csv_lines(records):
-            click.echo(line)
-    else:
-        for line in pretty_lines(records):
-            click.echo(line)
+        return
+    lines = [csv_header, *(csv for csv, _ in rows)] if fmt == "csv" else [pretty for _, pretty in rows]
+    for line in lines:
+        click.echo(line)
 
 
-def _cell(value) -> str:
-    if isinstance(value, list):
-        return ";".join(value)
-    return str(value)
+def _pretty(label: str, params: dict, value: str) -> str:
+    where = " ".join(f"{key}={v}" for key, v in params.items())
+    return f"{label} {where}: {value}"
 
 
 @click.group()
 def main() -> None:
     """Exact Bell/Stirling towers and certified Dobinski-type verification."""
+    # Exact values print in full however many digits they have.
+    sys.set_int_max_str_digits(0)
+    try:
+        summation_cap()
+    except ValueError as exc:
+        _fail(str(exc))
 
 
 @main.command("table")
@@ -123,142 +115,29 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
     """Print a Stirling triangle or Bell sequence up to n."""
     if kind.startswith("cigl-") and n > PARTITION_CAP:
         _fail(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
+    triangle = kind.endswith("stirling")
     records: list[dict] = []
+    rows: list[tuple[str, str]] = []
     try:
-        if kind == "stirling":
-            for m in range(n + 1):
-                for k in range(m + 1):
-                    records.append(
-                        {"kind": kind, "parameters": {"n": m, "k": k}, "value": str(stirling2(m, k))}
-                    )
-        elif kind == "bell":
-            for m in range(n + 1):
-                records.append(
-                    {"kind": kind, "parameters": {"n": m}, "value": str(rota_bell_exact(m))}
-                )
-        elif kind in ("q-stirling", "q-bell"):
-            table = carlitz_q_stirling(n)
-            for m in range(n + 1):
-                if kind == "q-stirling":
-                    for k in range(m + 1):
-                        records.append(
-                            {
-                                "kind": kind,
-                                "parameters": {"n": m, "k": k},
-                                "value": poly_coeff_list(table.entry(m, k)),
-                            }
-                        )
-                else:
-                    records.append(
-                        {
-                            "kind": kind,
-                            "parameters": {"n": m},
-                            "value": poly_coeff_list(bell_via_sum(table, m)),
-                        }
-                    )
-        else:  # cigl-q-stirling / cigl-q-bell
-            for m in range(n + 1):
-                if kind == "cigl-q-stirling":
-                    for k in range(m + 1):
-                        records.append(
-                            {
-                                "kind": kind,
-                                "parameters": {"n": m, "k": k},
-                                "value": poly_coeff_list(cigl_q_stirling(m, k)),
-                            }
-                        )
-                else:
-                    records.append(
-                        {
-                            "kind": kind,
-                            "parameters": {"n": m},
-                            "value": poly_coeff_list(cigl_q_bell(m)),
-                        }
-                    )
+        carlitz = carlitz_q_stirling(n) if kind in ("q-stirling", "q-bell") else None
+        value_of = {
+            "stirling": lambda m, k: str(stirling2(m, k)),
+            "bell": lambda m: str(rota_bell_exact(m)),
+            "q-stirling": lambda m, k: poly_coeff_list(carlitz.entry(m, k)),
+            "q-bell": lambda m: poly_coeff_list(bell_via_sum(carlitz, m)),
+            "cigl-q-stirling": lambda m, k: poly_coeff_list(cigl_q_stirling(m, k)),
+            "cigl-q-bell": lambda m: poly_coeff_list(cigl_q_bell(m)),
+        }[kind]
+        for m in range(n + 1):
+            for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
+                value = value_of(*params.values())
+                records.append({"kind": kind, "parameters": params, "value": value})
+                cell = value if isinstance(value, str) else ";".join(value)
+                front = ",".join(str(v) for v in params.values())
+                rows.append((f"{front},{cell}", _pretty(kind, params, cell)))
     except UmbralDobError as exc:
         _fail(str(exc))
-
-    def csv_lines(recs):
-        with_k = "k" in recs[0]["parameters"] if recs else kind in ("stirling", "q-stirling", "cigl-q-stirling")
-        yield "n,k,value" if with_k else "n,value"
-        for r in recs:
-            p = r["parameters"]
-            front = f"{p['n']},{p['k']}" if "k" in p else f"{p['n']}"
-            yield f"{front},{_cell(r['value'])}"
-
-    def pretty_lines(recs):
-        for r in recs:
-            p = r["parameters"]
-            where = f"n={p['n']}" + (f" k={p['k']}" if "k" in p else "")
-            yield f"{r['kind']} {where}: {_cell(r['value'])}"
-
-    _emit(records, fmt, csv_lines, pretty_lines)
-
-
-def _run_falling_moment(seq: PsiSequence, n_max: int) -> list[tuple[dict, bool]]:
-    out = []
-    for n in range(n_max + 1):
-        interval = verify_falling_moment(seq, n)
-        out.append(({"identity": "falling-moment", "seq": seq.label, "n": n}, interval.contains(1)))
-    return out
-
-
-def _run_dobinski(seq: PsiSequence, n_max: int) -> list[tuple[dict, bool]]:
-    if seq.kind == GAUSS_Q:
-        table = carlitz_q_stirling(n_max)
-        expected = [bell_via_sum(table, n).evaluate(seq.q) for n in range(n_max + 1)]
-    elif seq.kind == CLASSICAL:
-        expected = [Fraction(rota_bell_exact(n)) for n in range(n_max + 1)]
-    else:
-        _fail("identity dobinski needs an exact reference value: use classical or q=<rational>")
-    out = []
-    for n in range(n_max + 1):
-        interval = dobinski_bell(seq, n)
-        out.append(({"identity": "dobinski", "seq": seq.label, "n": n}, interval.contains(expected[n])))
-    return out
-
-
-def _run_cigl_dobinski(seq: PsiSequence, n_max: int) -> list[tuple[dict, bool]]:
-    from .cigl import cigl_q_dobinski_exact
-
-    out = []
-    for n in range(n_max + 1):
-        ok = cigl_q_dobinski_exact(n) == cigl_q_bell(n)
-        out.append(({"identity": "cigl-dobinski", "n": n}, ok))
-    return out
-
-
-def _run_conjugation(seq: PsiSequence, n_max: int) -> list[tuple[dict, bool]]:
-    return [({"identity": "conjugation", "max_degree": n_max}, verify_conjugation(n_max))]
-
-
-def _run_pmf_gf(seq: PsiSequence, n_max: int) -> list[tuple[dict, bool]]:
-    if seq.kind not in (CLASSICAL, GAUSS_Q):
-        _fail("identity pmf-gf needs a classical or q=<rational> sequence")
-    out = []
-    for n in range(n_max + 1):
-        check = verify_pmf_via_generating_function(seq, 1, n, order=n_max + 4)
-        out.append(({"identity": "pmf-gf", "seq": seq.label, "n": n}, check.passed))
-    return out
-
-
-def _run_q1_reduction(seq: PsiSequence, n_max: int) -> list[tuple[dict, bool]]:
-    table = carlitz_q_stirling(n_max)
-    out = []
-    for n in range(n_max + 1):
-        ok = all(table.entry(n, k).evaluate(Fraction(1)) == stirling2(n, k) for k in range(n + 1))
-        out.append(({"identity": "q1-reduction", "n": n}, ok))
-    return out
-
-
-_IDENTITY_RUNNERS = {
-    "falling-moment": _run_falling_moment,
-    "dobinski": _run_dobinski,
-    "cigl-dobinski": _run_cigl_dobinski,
-    "conjugation": _run_conjugation,
-    "pmf-gf": _run_pmf_gf,
-    "q1-reduction": _run_q1_reduction,
-}
+    _emit(fmt, "n,k,value" if triangle else "n,value", records, rows)
 
 
 @main.command("verify")
@@ -273,26 +152,18 @@ def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
         cases = _IDENTITY_RUNNERS[identity](seq, n_max)
     except UmbralDobError as exc:
         _fail(str(exc))
-    records = [
-        {"kind": "verify", "parameters": params, "value": "pass" if ok else "fail"}
-        for params, ok in cases
-    ]
-
-    def csv_lines(recs):
-        yield "identity,seq,n,verdict"
-        for r in recs:
-            p = r["parameters"]
-            n = p.get("n", p.get("max_degree", ""))
-            yield f"{p['identity']},{p.get('seq', '-')},{n},{r['value']}"
-
-    def pretty_lines(recs):
-        for r in recs:
-            p = r["parameters"]
-            where = " ".join(f"{key}={p[key]}" for key in p if key != "identity")
-            yield f"{p['identity']} {where}: {r['value']}"
-
-    _emit(records, fmt, csv_lines, pretty_lines)
-    if any(r["value"] == "fail" for r in records):
+    records: list[dict] = []
+    rows: list[tuple[str, str]] = []
+    for case in cases:
+        p, verdict = case.params, "pass" if case.ok else "fail"
+        records.append({"kind": "verify", "parameters": p, "value": verdict})
+        n = p.get("n", p.get("max_degree", ""))
+        where = {key: v for key, v in p.items() if key != "identity"}
+        rows.append(
+            (f"{p['identity']},{p.get('seq', '-')},{n},{verdict}", _pretty(p["identity"], where, verdict))
+        )
+    _emit(fmt, "identity,seq,n,verdict", records, rows)
+    if not all(case.ok for case in cases):
         sys.exit(1)
 
 
@@ -312,41 +183,20 @@ def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
         _fail("--lambda must be positive")
     try:
         dist = PsiPoissonDistribution.create(seq, lam)
-        rows = [dist.pmf(k) for k in range(k_max + 1)]
+        bounds = [dist.pmf(k) for k in range(k_max + 1)]
     except UmbralDobError as exc:
         _fail(str(exc))
-    records = [
-        {
-            "kind": "pmf",
-            "parameters": {"seq": seq.label, "lambda": frac_text(lam), "k": k},
-            "value": [frac_text(lo), frac_text(hi)],
-        }
-        for k, (lo, hi) in enumerate(rows)
-    ]
-    records.append(
-        {
-            "kind": "normalizer",
-            "parameters": {"seq": seq.label, "lambda": frac_text(lam)},
-            "value": interval_pair(dist.normalizer),
-        }
-    )
-
-    def csv_lines(recs):
-        yield "k,lo,hi"
-        for r in recs:
-            v = r["value"]
-            k = r["parameters"].get("k", "normalizer")
-            yield f"{k},{v[0]},{v[1]}"
-
-    def pretty_lines(recs):
-        for r in recs:
-            v = r["value"]
-            if r["kind"] == "pmf":
-                yield f"p({r['parameters']['k']}) in [{v[0]}, {v[1]}]"
-            else:
-                yield f"normalizer in [{v[0]}, {v[1]}]"
-
-    _emit(records, fmt, csv_lines, pretty_lines)
+    base = {"seq": seq.label, "lambda": frac_text(lam)}
+    records: list[dict] = []
+    rows: list[tuple[str, str]] = []
+    for k, (lo, hi) in enumerate(bounds):
+        lo, hi = frac_text(lo), frac_text(hi)
+        records.append({"kind": "pmf", "parameters": {**base, "k": k}, "value": [lo, hi]})
+        rows.append((f"{k},{lo},{hi}", f"p({k}) in [{lo}, {hi}]"))
+    lo, hi = interval_pair(dist.normalizer)
+    records.append({"kind": "normalizer", "parameters": base, "value": [lo, hi]})
+    rows.append((f"normalizer,{lo},{hi}", f"normalizer in [{lo}, {hi}]"))
+    _emit(fmt, "k,lo,hi", records, rows)
 
 
 @main.command("oracle")
@@ -358,6 +208,7 @@ def cmd_oracle(n: int, fmt: str) -> None:
         _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
     classical = PsiSequence.classical()
     records: list[dict] = []
+    rows: list[tuple[str, str]] = []
     any_fail = False
     try:
         for m in range(n + 1):
@@ -367,49 +218,26 @@ def cmd_oracle(n: int, fmt: str) -> None:
             interval = dobinski_bell(classical, m)
             agree = count == rota and operator == rota and interval.contains(rota)
             any_fail = any_fail or not agree
+            op = str(operator.numerator) if operator.denominator == 1 else frac_text(operator)
+            lo, hi = interval_pair(interval)
+            verdict = "pass" if agree else "fail"
             params = {"n": m}
-            records.append({"kind": "enumeration-count", "parameters": params, "value": str(count)})
-            records.append({"kind": "rota-bell", "parameters": params, "value": str(rota)})
-            records.append(
-                {"kind": "operator-bell", "parameters": params, "value": str(operator.numerator)}
-                if operator.denominator == 1
-                else {"kind": "operator-bell", "parameters": params, "value": frac_text(operator)}
-            )
-            records.append(
-                {"kind": "dobinski-interval", "parameters": params, "value": interval_pair(interval)}
-            )
-            records.append(
-                {"kind": "agreement", "parameters": params, "value": "pass" if agree else "fail"}
+            records += [
+                {"kind": "enumeration-count", "parameters": params, "value": str(count)},
+                {"kind": "rota-bell", "parameters": params, "value": str(rota)},
+                {"kind": "operator-bell", "parameters": params, "value": op},
+                {"kind": "dobinski-interval", "parameters": params, "value": [lo, hi]},
+                {"kind": "agreement", "parameters": params, "value": verdict},
+            ]
+            rows.append(
+                (
+                    f"{m},{count},{rota},{op},{lo},{hi},{verdict}",
+                    f"n={m}: enumeration={count} rota={rota} operator={op} series=[{lo}, {hi}] -> {verdict}",
+                )
             )
     except UmbralDobError as exc:
         _fail(str(exc))
-
-    def csv_lines(recs):
-        yield "n,enumeration,rota_bell,operator_bell,dobinski_lo,dobinski_hi,verdict"
-        by_n: dict[int, dict] = {}
-        for r in recs:
-            by_n.setdefault(r["parameters"]["n"], {})[r["kind"]] = r["value"]
-        for m in sorted(by_n):
-            row = by_n[m]
-            lo, hi = row["dobinski-interval"]
-            yield (
-                f"{m},{row['enumeration-count']},{row['rota-bell']},"
-                f"{row['operator-bell']},{lo},{hi},{row['agreement']}"
-            )
-
-    def pretty_lines(recs):
-        by_n: dict[int, dict] = {}
-        for r in recs:
-            by_n.setdefault(r["parameters"]["n"], {})[r["kind"]] = r["value"]
-        for m in sorted(by_n):
-            row = by_n[m]
-            lo, hi = row["dobinski-interval"]
-            yield (
-                f"n={m}: enumeration={row['enumeration-count']} rota={row['rota-bell']} "
-                f"operator={row['operator-bell']} series=[{lo}, {hi}] -> {row['agreement']}"
-            )
-
-    _emit(records, fmt, csv_lines, pretty_lines)
+    _emit(fmt, "n,enumeration,rota_bell,operator_bell,dobinski_lo,dobinski_hi,verdict", records, rows)
     if any_fail:
         sys.exit(1)
 

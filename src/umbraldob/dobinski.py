@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonConvergentError
-from .exact_core import CertifiedValue, Poly, Scalar, certified_sum
+from .exact_core import CertifiedValue, Poly, certified_sum
 from .umbral_engine import (
     CLASSICAL,
     GAUSS_Q,
@@ -43,7 +43,11 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     return Fraction(1, 2)
 
 
-def _check_domain(seq: PsiSequence, lam: Fraction) -> None:
+def _admissible(seq: PsiSequence, lam, ratio_threshold) -> tuple[Fraction, Fraction]:
+    """Validate lam for exp_psi and resolve the default truncation threshold."""
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     # exp_psi(lam) for a Gauss sequence with q < 1 has radius 1/(1-q); at or
     # beyond it the terms do not even tend to zero, so fail fast instead of
     # grinding toward the summation cap on ever-larger exact rationals.
@@ -51,28 +55,35 @@ def _check_domain(seq: PsiSequence, lam: Fraction) -> None:
         raise NonConvergentError(
             f"exp_psi diverges for {seq.label} at lam={lam}: need lam < {1 / (1 - seq.q)}"
         )
-
-
-def psi_exp(
-    seq: PsiSequence,
-    lam,
-    ratio_threshold=None,
-    lookahead: int = 8,
-    hard_cap: int | None = None,
-) -> CertifiedValue:
-    """Certified interval for exp_psi(lam) = sum_k lam**k / factorial(k)."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    _check_domain(seq, lam)
     if ratio_threshold is None:
         ratio_threshold = default_ratio_threshold(seq, lam)
-    return certified_sum(
-        lambda k: lam**k / seq.factorial(k),
-        ratio_threshold,
-        lookahead=lookahead,
-        hard_cap=hard_cap,
-    )
+    return lam, ratio_threshold
+
+
+def psi_exp(seq: PsiSequence, lam, ratio_threshold=None) -> CertifiedValue:
+    """Certified interval for exp_psi(lam) = sum_k lam**k / factorial(k)."""
+    lam, thr = _admissible(seq, lam, ratio_threshold)
+    return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
+
+
+def _normalized_sum(
+    seq: PsiSequence, lam, pos, neg=None, ratio_threshold=None, normalizer=None
+) -> CertifiedValue:
+    """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) * lam**k / factorial(k).
+
+    pos and neg (None for zero) are non-negative weights, each summed as its
+    own non-negative series as certified_sum requires.
+    """
+    lam, thr = _admissible(seq, lam, ratio_threshold)
+    if normalizer is None:
+        normalizer = psi_exp(seq, lam, thr)
+
+    def series(weight) -> CertifiedValue:
+        if weight is None:
+            return CertifiedValue(Fraction(0), Fraction(0))
+        return certified_sum(lambda k: weight(k) * lam**k / seq.factorial(k), thr)
+
+    return (series(pos) - series(neg)).div_by_positive(normalizer)
 
 
 @dataclass(frozen=True)
@@ -89,19 +100,8 @@ class PsiPoissonDistribution:
     normalizer: CertifiedValue
 
     @classmethod
-    def create(
-        cls,
-        seq: PsiSequence,
-        lam,
-        ratio_threshold=None,
-        lookahead: int = 8,
-        hard_cap: int | None = None,
-    ) -> "PsiPoissonDistribution":
-        lam = Fraction(lam)
-        norm = psi_exp(
-            seq, lam, ratio_threshold=ratio_threshold, lookahead=lookahead, hard_cap=hard_cap
-        )
-        return cls(seq, lam, norm)
+    def create(cls, seq: PsiSequence, lam, ratio_threshold=None) -> "PsiPoissonDistribution":
+        return cls(seq, Fraction(lam), psi_exp(seq, lam, ratio_threshold=ratio_threshold))
 
     def pmf(self, k: int) -> tuple[Fraction, Fraction]:
         """Exact bounds (lower, upper) for the probability of k."""
@@ -111,60 +111,28 @@ class PsiPoissonDistribution:
         return numer / self.normalizer.hi, numer / self.normalizer.lo
 
 
-def _split_by_sign(p: Poly) -> tuple[Poly, Poly]:
-    pos = Poly(tuple(c if c > 0 else 0 for c in p.coeffs), p.var)
-    neg = Poly(tuple(-c if c < 0 else 0 for c in p.coeffs), p.var)
-    return pos, neg
-
-
 def moment_functional(
     seq: PsiSequence,
     lam,
     p: Poly,
     ratio_threshold=None,
-    lookahead: int = 8,
-    hard_cap: int | None = None,
     normalizer: CertifiedValue | None = None,
 ) -> CertifiedValue:
     """Certified interval for the normalized moment of a polynomial.
 
     Computes exp_psi(lam)**-1 * sum_k p(psi(k)) * lam**k / factorial(k).
     Mixed-sign polynomials are split by monomial sign into two non-negative
-    series whose intervals are subtracted, keeping the certified-sum
-    contract intact for each piece.
+    series whose intervals are subtracted.
     """
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    _check_domain(seq, lam)
-    if ratio_threshold is None:
-        ratio_threshold = default_ratio_threshold(seq, lam)
-    if normalizer is None:
-        normalizer = psi_exp(
-            seq, lam, ratio_threshold=ratio_threshold, lookahead=lookahead, hard_cap=hard_cap
-        )
-    pos, neg = _split_by_sign(p)
 
-    def series(part: Poly) -> CertifiedValue:
-        if not part:
-            return CertifiedValue(Fraction(0), Fraction(0))
-        return certified_sum(
-            lambda k: part.evaluate(seq.value(k)) * lam**k / seq.factorial(k),
-            ratio_threshold,
-            lookahead=lookahead,
-            hard_cap=hard_cap,
-        )
+    def weight(sign: int):
+        part = Poly(tuple(max(sign * c, 0) for c in p.coeffs), p.var)
+        return (lambda k: part.evaluate(seq.value(k))) if part else None
 
-    return (series(pos) - series(neg)).div_by_positive(normalizer)
+    return _normalized_sum(seq, lam, weight(1), weight(-1), ratio_threshold, normalizer)
 
 
-def verify_falling_moment(
-    seq: PsiSequence,
-    n: int,
-    ratio_threshold=None,
-    lookahead: int = 8,
-    hard_cap: int | None = None,
-) -> CertifiedValue:
+def verify_falling_moment(seq: PsiSequence, n: int, ratio_threshold=None) -> CertifiedValue:
     """Interval for the normalized n-th falling-factorial moment at lam = 1.
 
     The true value is exactly 1 for every admissible sequence: the first n
@@ -173,25 +141,10 @@ def verify_falling_moment(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if ratio_threshold is None:
-        ratio_threshold = default_ratio_threshold(seq, 1)
-    norm = psi_exp(seq, 1, ratio_threshold=ratio_threshold, lookahead=lookahead, hard_cap=hard_cap)
-    numer = certified_sum(
-        lambda k: seq.falling(k, n) / seq.factorial(k),
-        ratio_threshold,
-        lookahead=lookahead,
-        hard_cap=hard_cap,
-    )
-    return numer.div_by_positive(norm)
+    return _normalized_sum(seq, 1, lambda k: seq.falling(k, n), ratio_threshold=ratio_threshold)
 
 
-def dobinski_bell(
-    seq: PsiSequence,
-    n: int,
-    ratio_threshold=None,
-    lookahead: int = 8,
-    hard_cap: int | None = None,
-) -> CertifiedValue:
+def dobinski_bell(seq: PsiSequence, n: int, ratio_threshold=None) -> CertifiedValue:
     """Interval for the normalized n-th power moment at lam = 1.
 
     For the classical sequence this brackets the n-th Bell number; for a
@@ -199,16 +152,7 @@ def dobinski_bell(
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if ratio_threshold is None:
-        ratio_threshold = default_ratio_threshold(seq, 1)
-    norm = psi_exp(seq, 1, ratio_threshold=ratio_threshold, lookahead=lookahead, hard_cap=hard_cap)
-    numer = certified_sum(
-        lambda k: seq.value(k) ** n / seq.factorial(k),
-        ratio_threshold,
-        lookahead=lookahead,
-        hard_cap=hard_cap,
-    )
-    return numer.div_by_positive(norm)
+    return _normalized_sum(seq, 1, lambda k: seq.value(k) ** n, ratio_threshold=ratio_threshold)
 
 
 def rota_bell_exact(n: int) -> int:
@@ -280,8 +224,6 @@ def verify_pmf_via_generating_function(
     n: int,
     order: int,
     ratio_threshold=None,
-    lookahead: int = 8,
-    hard_cap: int | None = None,
 ) -> GeneratingFunctionCheck:
     """Check the pmf against its generating function G(t) = sum_k p_k t**k.
 
@@ -316,16 +258,6 @@ def verify_pmf_via_generating_function(
 
     mean_ok = None
     if lam == 1:
-        if ratio_threshold is None:
-            ratio_threshold = default_ratio_threshold(seq, lam)
-        norm = psi_exp(
-            seq, lam, ratio_threshold=ratio_threshold, lookahead=lookahead, hard_cap=hard_cap
-        )
-        mean = certified_sum(
-            lambda k: gauss_number(k, qv) * lam**k / seq.factorial(k),
-            ratio_threshold,
-            lookahead=lookahead,
-            hard_cap=hard_cap,
-        ).div_by_positive(norm)
+        mean = _normalized_sum(seq, lam, lambda k: gauss_number(k, qv), ratio_threshold=ratio_threshold)
         mean_ok = mean.contains(1)
     return GeneratingFunctionCheck(coefficient_ok, mean_ok)

@@ -17,6 +17,10 @@ class OutOfRangeError(UmbralDobError):
     """A custom sequence was queried beyond its provided values."""
 
 
+class UnsupportedSequenceError(UmbralDobError):
+    """An identity has no reference route for the requested sequence kind."""
+
+
 class InconsistentSystemError(UmbralDobError):
     """A triangular solve hit a non-exact division or an impossible entry.
 

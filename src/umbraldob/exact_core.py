@@ -29,7 +29,10 @@ def summation_cap() -> int:
     raw = os.environ.get(SUM_CAP_ENV)
     if raw is None:
         return DEFAULT_SUM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap < 1:
         raise ValueError(f"{SUM_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap

@@ -10,6 +10,7 @@ q-bracket we build the Carlitz q-Stirling triangle by a triangular solve.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -25,7 +26,11 @@ CUSTOM = "custom"
 
 @dataclass(frozen=True)
 class PsiSequence:
-    """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1."""
+    """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
+
+    Prefixes of values and factorials belong to the instance and grow under
+    its lock, so threads sharing a sequence get single-thread results.
+    """
 
     kind: str
     q: Fraction | None = None
@@ -33,6 +38,9 @@ class PsiSequence:
     label: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "_prefix", [Fraction(0)])
+        object.__setattr__(self, "_factorials", [Fraction(1)])
+        object.__setattr__(self, "_lock", threading.RLock())
         if self.kind == GAUSS_Q:
             q = Fraction(self.q)
             if q <= 0:
@@ -81,28 +89,27 @@ class PsiSequence:
                     f"custom sequence has {len(self.values)} values, index {n} requested"
                 )
             return self.values[n]
-        vals = _VALUE_CACHE.setdefault(self, [Fraction(0)])
-        while len(vals) <= n:
-            k = len(vals)
-            if self.kind == CLASSICAL:
-                vals.append(Fraction(k))
-            elif self.kind == FIBONACCI:
-                vals.append(Fraction(1) if k == 1 else vals[k - 1] + vals[k - 2])
-            else:  # GAUSS_Q: [k]_q = [k-1]_q + q**(k-1), powers kept incrementally
-                pw = _POWER_CACHE.setdefault(self, [Fraction(1)])
-                while len(pw) < k:
-                    pw.append(pw[-1] * self.q)
-                vals.append(vals[k - 1] + pw[k - 1])
+        vals = self._prefix
+        with self._lock:
+            while len(vals) <= n:
+                k = len(vals)
+                if self.kind == CLASSICAL:
+                    vals.append(Fraction(k))
+                elif self.kind == FIBONACCI:
+                    vals.append(Fraction(1) if k == 1 else vals[k - 1] + vals[k - 2])
+                else:  # GAUSS_Q: [k]_q = 1 + q*[k-1]_q
+                    vals.append(1 + self.q * vals[k - 1])
         return vals[n]
 
     def factorial(self, n: int) -> Fraction:
         """psi(n)*psi(n-1)*...*psi(1); the empty product 1 at n=0."""
         if n < 0:
             raise ValueError("factorial index must be non-negative")
-        fac = _FACTORIAL_CACHE.setdefault(self, [Fraction(1)])
-        while len(fac) <= n:
-            k = len(fac)
-            fac.append(fac[k - 1] * self.value(k))
+        fac = self._factorials
+        with self._lock:
+            while len(fac) <= n:
+                # through value(), which also reads custom tables
+                fac.append(fac[-1] * self.value(len(fac)))
         return fac[n]
 
     def falling(self, x: int, k: int) -> Fraction:
@@ -116,11 +123,6 @@ class PsiSequence:
                 return Fraction(0)
             out *= self.value(arg)
         return out
-
-
-_VALUE_CACHE: dict[PsiSequence, list[Fraction]] = {}
-_POWER_CACHE: dict[PsiSequence, list[Fraction]] = {}
-_FACTORIAL_CACHE: dict[PsiSequence, list[Fraction]] = {}
 
 
 def q_number_symbolic(n: int) -> Poly:
@@ -148,7 +150,9 @@ def gauss_factorial(n: int, q) -> Fraction:
     return out
 
 
+# Rows 0..m of the second-kind triangle, appended only under the lock.
 _STIRLING_ROWS: list[list[int]] = [[1]]
+_STIRLING_LOCK = threading.Lock()
 
 
 def stirling2(n: int, k: int) -> int:
@@ -157,15 +161,16 @@ def stirling2(n: int, k: int) -> int:
         raise ValueError("stirling2 arguments must be non-negative")
     if k > n:
         return 0
-    while len(_STIRLING_ROWS) <= n:
-        m = len(_STIRLING_ROWS)
-        prev = _STIRLING_ROWS[m - 1]
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = (prev[j - 1] if j - 1 < len(prev) else 0) + j * (
-                prev[j] if j < len(prev) else 0
-            )
-        _STIRLING_ROWS.append(row)
+    with _STIRLING_LOCK:
+        while len(_STIRLING_ROWS) <= n:
+            m = len(_STIRLING_ROWS)
+            prev = _STIRLING_ROWS[m - 1]
+            row = [0] * (m + 1)
+            for j in range(1, m + 1):
+                row[j] = (prev[j - 1] if j - 1 < len(prev) else 0) + j * (
+                    prev[j] if j < len(prev) else 0
+                )
+            _STIRLING_ROWS.append(row)
     return _STIRLING_ROWS[n][k]
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line checks through click's test runner."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from umbraldob import cli as cli_module
 from umbraldob.cli import main
+from umbraldob.identities import Case
 
 runner = CliRunner()
 
@@ -102,7 +104,7 @@ class TestVerifySuites:
 
     def test_failing_verdict_exits_one(self, monkeypatch):
         def broken(seq, n_max):
-            return [({"identity": "conjugation", "max_degree": n_max}, False)]
+            return [Case({"identity": "conjugation", "max_degree": n_max}, False)]
 
         monkeypatch.setitem(cli_module._IDENTITY_RUNNERS, "conjugation", broken)
         result = invoke("verify", "--identity", "conjugation", "--n-max", "3")
@@ -144,6 +146,22 @@ class TestDist:
             if not line.startswith("normalizer")
         ]
         assert 0 < sum(lows) < 1
+
+    def test_exact_values_of_any_size_print(self):
+        # The largest numerators here pass Python's default 4300-digit limit
+        # on int/str conversion; the CLI lifts it for its process, and
+        # parsing the rows back needs it lifted as well.
+        limit = sys.get_int_max_str_digits()
+        try:
+            result = invoke(
+                "dist", "--seq", "q=9/10", "--lambda", "9", "--k-max", "100", "--format", "csv"
+            )
+            assert result.exit_code == 0, result.stderr
+            rows = [line.split(",") for line in result.output.splitlines()[1:]]
+            assert [k for k, _, _ in rows] == [str(k) for k in range(101)] + ["normalizer"]
+            assert all(0 < Fraction(lo) <= Fraction(hi) for _, lo, hi in rows)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_json_has_normalizer_record(self):
         result = invoke("dist", "--lambda", "2", "--k-max", "3", "--format", "json")
@@ -230,6 +248,13 @@ class TestSummationCapPlumbing:
         result = invoke("verify", "--identity", "dobinski", "--n-max", "6")
         assert result.exit_code == 2
         assert "cap" in result.stderr
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_cap_exits_two(self, monkeypatch, raw):
+        monkeypatch.setenv("UMBRALDOB_SUM_CAP", raw)
+        result = invoke("verify", "--identity", "dobinski", "--n-max", "2")
+        assert result.exit_code == 2
+        assert "UMBRALDOB_SUM_CAP" in result.stderr
 
     def test_generous_cap_unchanged(self, monkeypatch):
         monkeypatch.setenv("UMBRALDOB_SUM_CAP", "500")

@@ -1,5 +1,7 @@
 """Psi-sequences, the Stirling towers, and the expansion diagnostic."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_bell, naive_stirling2
+from umbraldob import umbral_engine
 from umbraldob.errors import OutOfRangeError
 from umbraldob.exact_core import Poly
 from umbraldob.umbral_engine import (
@@ -198,3 +201,46 @@ class TestDiagnostic:
     def test_probe_limit_validated(self):
         with pytest.raises(ValueError):
             psi_stirling_diagnostic(CLASSICAL, 3, 3)
+
+
+def race(fn, workers=4):
+    """Start fn in `workers` threads at once under a 1 us switch interval; return the results."""
+    results = [None] * workers
+    barrier = threading.Barrier(workers, timeout=30)
+
+    def work(i):
+        barrier.wait()
+        results[i] = fn()
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+class TestThreadSafety:
+    def test_fresh_sequence_factorial(self):
+        for trial in range(10):
+            # a q no other test uses, so every trial starts from empty prefixes
+            q = Fraction(1000 + trial, 997)
+            seq = PsiSequence.gauss_q(q)
+            assert race(lambda: seq.factorial(40)) == [gauss_factorial(40, q)] * 4
+
+    def test_stirling_rows(self):
+        rows = umbral_engine._STIRLING_ROWS
+        del rows[1:]
+        expected = stirling2(60, 30)
+        try:
+            for _ in range(10):
+                del rows[1:]
+                assert race(lambda: stirling2(60, 30)) == [expected] * 4
+        finally:
+            del rows[1:]
