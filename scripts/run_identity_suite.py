@@ -20,6 +20,7 @@ from fractions import Fraction
 from umbraldob.cigl import enumerate_partitions
 from umbraldob.dobinski import rota_bell_exact
 from umbraldob.errors import UnsupportedSequenceError
+from umbraldob.exact_core import summation_cap
 from umbraldob.identities import PER_SEQUENCE, RUNNERS
 from umbraldob.operator_calc import dobinski_specialization
 from umbraldob.umbral_engine import PsiSequence
@@ -81,6 +82,10 @@ def main() -> int:
     args = parser.parse_args()
     if args.n_max < 0:
         parser.error("--n-max must be non-negative")
+    try:
+        summation_cap()
+    except ValueError as exc:
+        parser.error(str(exc))
     return run(args.n_max, args.skip_enumeration)
 
 

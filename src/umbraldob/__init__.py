@@ -2,12 +2,12 @@
 
 from .cigl import (
     PARTITION_CAP,
-    CiglWeightedCount,
     SetPartition,
     cigl_q_bell,
     cigl_q_dobinski_exact,
     cigl_q_power,
     cigl_q_stirling,
+    cigl_q_stirling_table,
     cigl_statistic,
     enumerate_partitions,
 )
@@ -27,7 +27,6 @@ from .dobinski import (
 )
 from .errors import (
     CapExceededError,
-    InconsistentSystemError,
     NegativeTermError,
     NonConvergentError,
     OutOfRangeError,
@@ -57,6 +56,7 @@ from .umbral_engine import (
     gauss_number,
     psi_stirling_diagnostic,
     q_number_symbolic,
+    recurrence_table,
     stirling2,
 )
 

@@ -7,19 +7,22 @@ attached to a partition is the sum of the elements in the block containing
 0.  Counting partitions weighted by q**statistic gives q-analogues of the
 Stirling and Bell numbers that are genuinely different from the Carlitz
 ones, yet satisfy their own exact Dobinski-type identity, checked here by
-expanding a product of shifted powers and substituting Bell numbers.
+expanding a product of shifted powers and substituting Bell numbers.  The
+weighted counts T(n,k) over k-block partitions obey the recurrence
+T(n+1,k) = T(n,k-1) + (q**n + k - 1)*T(n,k) from T(0,0) = 1, and the tower
+is built from it; enumeration stays the independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .dobinski import poisson_moment_exact
 from .errors import CapExceededError
 from .exact_core import Poly
+from .umbral_engine import StirlingTable, bell_via_sum, recurrence_table
 
 # Full enumeration of n = 13 already means 27.6 million partitions; past that
 # the desk-scale guarantees of this module stop holding.
@@ -100,59 +103,14 @@ def cigl_statistic(partition) -> int:
     return sum(i for i, b in enumerate(rgs) if b == 0)
 
 
-@dataclass(frozen=True)
-class CiglWeightedCount:
-    """Per-block-count generating polynomials of the statistic for one n."""
+def cigl_q_stirling_table(n_max: int) -> StirlingTable:
+    """Rows 0..n_max of the zero-block tower: T(n+1,k) = T(n,k-1) + (q**n + k - 1)*T(n,k).
 
-    n: int
-    by_blocks: tuple[Poly, ...]  # index k: sum of q**statistic over k-block partitions
-
-    def total(self) -> Poly:
-        acc = Poly(())
-        for p in self.by_blocks:
-            acc = acc + p
-        return acc
-
-
-def _weighted_histograms(n: int) -> list[dict[int, int]]:
-    # hists[k][c] = number of partitions with k blocks whose statistic is c.
-    # Walk the restricted-growth choices; blocks other than block 0 are
-    # interchangeable for the statistic, so one weighted branch covers all of
-    # them and the walk visits 3**(n-1) paths instead of Bell(n) leaves.
-    hists: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-    if n == 0:
-        hists[0][0] = 1
-        return hists
-
-    def walk(i: int, blocks: int, stat: int, mult: int) -> None:
-        if i == n:
-            row = hists[blocks]
-            row[stat] = row.get(stat, 0) + mult
-            return
-        walk(i + 1, blocks + 1, stat, mult)  # element i opens a new block
-        walk(i + 1, blocks, stat + i, mult)  # element i joins the block of 0
-        if blocks > 1:
-            walk(i + 1, blocks, stat, mult * (blocks - 1))
-
-    walk(1, 1, 0, 1)
-    return hists
-
-
-@lru_cache(maxsize=None)
-def cigl_weighted_count(n: int) -> CiglWeightedCount:
-    """Weighted partition counts for every block count at once."""
-    _check_cap(n)
-    hists = _weighted_histograms(n)
-    polys = []
-    for h in hists:
-        if h:
-            cs = [0] * (max(h) + 1)
-            for stat, count in h.items():
-                cs[stat] = count
-            polys.append(Poly(cs))
-        else:
-            polys.append(Poly(()))
-    return CiglWeightedCount(n, tuple(polys))
+    Element n opens a new block, joins the block of 0 (adding n to the
+    statistic), or joins one of the other k - 1 blocks.
+    """
+    _check_cap(n_max)
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n) + (k - 1))
 
 
 def cigl_q_stirling(n: int, k: int) -> Poly:
@@ -161,16 +119,12 @@ def cigl_q_stirling(n: int, k: int) -> Poly:
         raise ValueError("k must be non-negative")
     if k > n:
         return Poly(())
-    return cigl_weighted_count(n).by_blocks[k]
+    return cigl_q_stirling_table(n).entry(n, k)
 
 
 def cigl_q_bell(n: int) -> Poly:
     """Sum of q**statistic over all partitions of an n-set."""
-    return cigl_weighted_count(n).total()
-
-
-def _q_const(c) -> Poly:
-    return Poly((c,))
+    return bell_via_sum(cigl_q_stirling_table(n), n)
 
 
 def cigl_q_power(n: int) -> Poly:
@@ -181,10 +135,10 @@ def cigl_q_power(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = Poly((_q_const(1),), var="x")
+    out = Poly((Poly.constant(1),), var="x")
     for i in range(n):
         offset = Poly((-1,) + (0,) * (i - 1) + (1,)) if i >= 1 else Poly(())
-        out = out * Poly((offset, _q_const(1)), var="x")
+        out = out * Poly((offset, Poly.constant(1)), var="x")
     return out
 
 

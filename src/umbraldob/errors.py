@@ -21,12 +21,5 @@ class UnsupportedSequenceError(UmbralDobError):
     """An identity has no reference route for the requested sequence kind."""
 
 
-class InconsistentSystemError(UmbralDobError):
-    """A triangular solve hit a non-exact division or an impossible entry.
-
-    This should never fire on valid input; it indicates a bug in the solve.
-    """
-
-
 class CapExceededError(UmbralDobError):
     """A desk-scale enumeration cap was exceeded."""

@@ -134,18 +134,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = Poly((1,), self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def evaluate(self, value):
         """Substitute ``value`` for the variable (Horner); a ring homomorphism."""
         acc = Fraction(0)
@@ -161,31 +149,6 @@ class Poly:
         if not self.coeffs:
             return self
         return Poly((0,) * k + self.coeffs, self.var)
-
-    def map_coeffs(self, fn, var: str | None = None) -> "Poly":
-        return Poly(tuple(fn(c) for c in self.coeffs), self.var if var is None else var)
-
-    def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact quotient over field coefficients; ValueError on a remainder."""
-        self._check_var(divisor)
-        if not divisor.coeffs:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = [Fraction(c) for c in self.coeffs]
-        dn = len(divisor.coeffs) - 1
-        lead = Fraction(divisor.coeffs[-1])
-        if len(rem) <= dn:
-            quot = []
-        else:
-            quot = [Fraction(0)] * (len(rem) - dn)
-            for i in range(len(rem) - 1, dn - 1, -1):
-                f = rem[i] / lead
-                quot[i - dn] = f
-                if f:
-                    for j, dc in enumerate(divisor.coeffs):
-                        rem[i - dn + j] -= f * dc
-        if any(rem):
-            raise ValueError("inexact polynomial division")
-        return Poly(quot, self.var)
 
     def __str__(self) -> str:
         if not self.coeffs:

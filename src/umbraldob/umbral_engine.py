@@ -4,8 +4,11 @@ A psi-sequence assigns an exact rational to every non-negative index, with
 value 0 at index 0 and positive values afterwards.  The built-in kinds are
 the classical integers, the Gauss q-brackets for a positive rational q, the
 Fibonacci numbers, and user-supplied finite tables.  From such a sequence we
-get generalized factorials and falling factorials, and from the symbolic
-q-bracket we build the Carlitz q-Stirling triangle by a triangular solve.
+get generalized factorials and falling factorials.  The classical and
+Carlitz q-Stirling triangles both come from one three-term recurrence,
+T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from T(0,0) = 1: left 1
+and right k for the classical numbers, and, after Carlitz (Duke Math. J. 15,
+1948), left q**(k-1) and right [k]_q for the q-analogue.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InconsistentSystemError, OutOfRangeError
+from .errors import OutOfRangeError
 from .exact_core import Poly
 
 CLASSICAL = "classical"
@@ -196,58 +199,39 @@ class StirlingTable:
         return self.rows[n][k]
 
 
-def classical_stirling_table(n_max: int) -> StirlingTable:
-    """The second-kind triangle as degree-0 polynomial entries."""
-    rows = tuple(
-        tuple(Poly((stirling2(n, k),)) for k in range(n + 1)) for n in range(n_max + 1)
-    )
-    return StirlingTable(n_max, rows)
+def recurrence_table(n_max: int, left, right) -> StirlingTable:
+    """Rows 0..n_max of T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k), T(0,0) = 1.
 
-
-def carlitz_q_stirling(n_max: int) -> StirlingTable:
-    """Carlitz q-Stirling triangle from the defining q-power expansion.
-
-    Row n is pinned down by requiring that the n-th power of the q-bracket
-    expands over falling q-bracket products at the integer points j = 0..n:
-
-        [j]_q**n = sum_k entry(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q
-
-    The falling products vanish for k > j, so the system is lower triangular
-    with pivot [j]_q! and every division is exact in Q[q].  Entries must come
-    out with non-negative integer coefficients; anything else raises
-    InconsistentSystemError (which would mean the solve itself is broken).
+    The weights may be ints or polynomials; entries outside 0 <= k <= n are zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    qn = [q_number_symbolic(j) for j in range(n_max + 1)]
-    falling: list[list[Poly]] = []
-    for j in range(n_max + 1):
-        row = [Poly((1,))]
-        for k in range(1, j + 1):
-            row.append(row[k - 1] * qn[j - k + 1])
-        falling.append(row)
-    rows = []
-    for n in range(n_max + 1):
-        entries: list[Poly] = []
-        for j in range(n + 1):
-            acc = qn[j] ** n
-            for k in range(j):
-                acc = acc - entries[k] * falling[j][k]
-            try:
-                e = acc.exact_div(falling[j][j])
-            except ValueError as exc:
-                raise InconsistentSystemError(
-                    f"row {n}, column {j}: pivot division left a remainder"
-                ) from exc
-            for c in e.coeffs:
-                c = Fraction(c)
-                if c.denominator != 1 or c < 0:
-                    raise InconsistentSystemError(
-                        f"row {n}, column {j}: coefficient {c} is not a non-negative integer"
-                    )
-            entries.append(e)
-        rows.append(tuple(entries))
+    rows = [(Poly((1,)),)]
+    for n in range(n_max):
+        prev = rows[-1] + (Poly(()),)
+        rows.append(
+            tuple(
+                (left(n, k) * prev[k - 1] if k else Poly(())) + right(n, k) * prev[k]
+                for k in range(n + 2)
+            )
+        )
     return StirlingTable(n_max, tuple(rows))
+
+
+def classical_stirling_table(n_max: int) -> StirlingTable:
+    """The second-kind triangle as degree-0 polynomial entries: left 1, right k."""
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: k)
+
+
+def carlitz_q_stirling(n_max: int) -> StirlingTable:
+    """Carlitz q-Stirling triangle: S(n+1,k) = q**(k-1)*S(n,k-1) + [k]_q*S(n,k).
+
+    This is the recurrence of Carlitz (Duke Math. J. 15, 1948).  Its rows are
+    the coefficients of the defining expansion
+    [j]_q**n = sum_k entry(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q, which
+    psi_stirling_diagnostic solves independently at a rational q.
+    """
+    return recurrence_table(n_max, lambda n, k: Poly.monomial(1, k - 1), lambda n, k: q_number_symbolic(k))
 
 
 def bell_via_sum(table: StirlingTable, n: int) -> Poly:

@@ -51,10 +51,6 @@ class TestPoly:
         assert Poly((1, 2)).shift(2) == Poly((0, 0, 1, 2))
         assert Poly(()).shift(3) == Poly(())
 
-    def test_pow(self):
-        assert Poly((1, 1)) ** 3 == Poly((1, 3, 3, 1))
-        assert Poly(()) ** 0 == Poly((1,))
-
     @given(polys, polys, polys)
     @settings(max_examples=120)
     def test_ring_laws(self, a, b, c):
@@ -69,17 +65,6 @@ class TestPoly:
     def test_evaluate_is_ring_homomorphism(self, a, b, r):
         assert (a + b).evaluate(r) == a.evaluate(r) + b.evaluate(r)
         assert (a * b).evaluate(r) == a.evaluate(r) * b.evaluate(r)
-
-    @given(polys, polys)
-    @settings(max_examples=80)
-    def test_exact_div_inverts_mul(self, a, b):
-        if not b:
-            return
-        assert (a * b).exact_div(b) == a
-
-    def test_exact_div_rejects_remainder(self):
-        with pytest.raises(ValueError):
-            Poly((1, 1, 1)).exact_div(Poly((0, 1)))
 
     def test_nested_coefficients(self):
         inner = Poly((0, 1))  # q

@@ -186,12 +186,16 @@ class TestDiagnostic:
         assert residuals == [0] * 8
         assert coeffs == [Fraction(stirling2(4, k)) for k in range(5)]
 
-    def test_gauss_expansion_extends(self):
-        coeffs, residuals = psi_stirling_diagnostic(HALF, 3, 10)
-        assert all(r == 0 for r in residuals)
-        # fitted coefficients are the Carlitz entries evaluated at q
-        t = carlitz_q_stirling(3)
-        assert coeffs == [t.entry(3, k).evaluate(Fraction(1, 2)) for k in range(4)]
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), Fraction(2)])
+    def test_gauss_expansion_extends(self, q):
+        # The numeric solve of the defining expansion is an oracle independent
+        # of the recurrence: its coefficients are the Carlitz entries at q.
+        seq = PsiSequence.gauss_q(q)
+        t = carlitz_q_stirling(10)
+        for n in range(11):
+            coeffs, residuals = psi_stirling_diagnostic(seq, n, n + 1)
+            assert all(r == 0 for r in residuals)
+            assert coeffs == [t.entry(n, k).evaluate(q) for k in range(n + 1)]
 
     def test_fibonacci_witness(self):
         coeffs, residuals = psi_stirling_diagnostic(FIB, 2, 3)
