@@ -33,7 +33,7 @@ from .errors import UmbralDobError
 from .exact_core import CertifiedValue, Poly, summation_cap
 from .identities import RUNNERS as _IDENTITY_RUNNERS
 from .operator_calc import dobinski_specialization
-from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
+from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, stirling2
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
 IDENTITIES = tuple(_IDENTITY_RUNNERS)
@@ -116,23 +116,24 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
     if kind.startswith("cigl-") and n > PARTITION_CAP:
         _fail(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
     triangle = kind.endswith("stirling")
-    # Classical entries are degree-0 polynomials and print as plain integers.
-    text = (lambda p: str(p.coefficient(0))) if kind in ("stirling", "bell") else poly_coeff_list
     records: list[dict] = []
     rows: list[tuple[str, str]] = []
     try:
-        # Each kind reads one tower: its triangle, or its row sums for a Bell kind.
-        table = {
-            "stirling": classical_stirling_table,
-            "bell": classical_stirling_table,
-            "q-stirling": carlitz_q_stirling,
-            "q-bell": carlitz_q_stirling,
-            "cigl-q-stirling": cigl_q_stirling_table,
-            "cigl-q-bell": cigl_q_stirling_table,
-        }[kind](n)
+        value_of = {
+            "stirling": lambda m, k: str(stirling2(m, k)),
+            "bell": lambda m: str(rota_bell_exact(m)),
+        }.get(kind)
+        if value_of is None:
+            # A q-kind builds its tower once and reads its triangle or its row sums.
+            tower = (carlitz_q_stirling if kind.startswith("q-") else cigl_q_stirling_table)(n)
+            value_of = (
+                (lambda m, k: poly_coeff_list(tower.entry(m, k)))
+                if triangle
+                else (lambda m: poly_coeff_list(bell_via_sum(tower, m)))
+            )
         for m in range(n + 1):
             for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
-                value = text(table.entry(m, params["k"]) if triangle else bell_via_sum(table, m))
+                value = value_of(*params.values())
                 records.append({"kind": kind, "parameters": params, "value": value})
                 cell = value if isinstance(value, str) else ";".join(value)
                 front = ",".join(str(v) for v in params.values())

@@ -4,11 +4,11 @@ A psi-sequence assigns an exact rational to every non-negative index, with
 value 0 at index 0 and positive values afterwards.  The built-in kinds are
 the classical integers, the Gauss q-brackets for a positive rational q, the
 Fibonacci numbers, and user-supplied finite tables.  From such a sequence we
-get generalized factorials and falling factorials.  The classical and
-Carlitz q-Stirling triangles both come from one three-term recurrence,
-T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from T(0,0) = 1: left 1
-and right k for the classical numbers, and, after Carlitz (Duke Math. J. 15,
-1948), left q**(k-1) and right [k]_q for the q-analogue.
+get generalized factorials and falling factorials.  The q-Stirling towers
+come from one three-term recurrence builder,
+T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from T(0,0) = 1; after
+Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right [k]_q give the
+Carlitz q-analogue.  The classical triangle stays on plain integers.
 """
 
 from __future__ import annotations
@@ -219,8 +219,11 @@ def recurrence_table(n_max: int, left, right) -> StirlingTable:
 
 
 def classical_stirling_table(n_max: int) -> StirlingTable:
-    """The second-kind triangle as degree-0 polynomial entries: left 1, right k."""
-    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: k)
+    """The second-kind triangle as degree-0 polynomial entries."""
+    rows = tuple(
+        tuple(Poly((stirling2(n, k),)) for k in range(n + 1)) for n in range(n_max + 1)
+    )
+    return StirlingTable(n_max, rows)
 
 
 def carlitz_q_stirling(n_max: int) -> StirlingTable:
