@@ -17,6 +17,7 @@ from .dobinski import (
     TruncatedSeries,
     default_ratio_threshold,
     dobinski_bell,
+    generating_function_checks,
     jackson_derivative,
     moment_functional,
     poisson_moment_exact,
@@ -52,7 +53,6 @@ from .umbral_engine import (
     bell_via_sum,
     carlitz_q_stirling,
     classical_stirling_table,
-    gauss_factorial,
     gauss_number,
     psi_stirling_diagnostic,
     q_number_symbolic,

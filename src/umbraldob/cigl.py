@@ -115,6 +115,7 @@ def cigl_q_stirling_table(n_max: int) -> StirlingTable:
 
 def cigl_q_stirling(n: int, k: int) -> Poly:
     """Sum of q**statistic over the k-block partitions of an n-set."""
+    _check_cap(n)
     if k < 0:
         raise ValueError("k must be non-negative")
     if k > n:

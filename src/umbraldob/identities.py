@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .cigl import cigl_q_bell, cigl_q_dobinski_exact
-from .dobinski import dobinski_bell, rota_bell_exact, verify_falling_moment, verify_pmf_via_generating_function
+from .dobinski import dobinski_bell, generating_function_checks, rota_bell_exact, verify_falling_moment
 from .errors import UnsupportedSequenceError
 from .exact_core import CertifiedValue
 from .operator_calc import verify_conjugation
@@ -68,11 +68,8 @@ def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
     if seq.kind not in (CLASSICAL, GAUSS_Q):
         raise UnsupportedSequenceError("identity pmf-gf needs a classical or q=<rational> sequence")
     return [
-        Case(
-            {"identity": "pmf-gf", "seq": seq.label, "n": n},
-            verify_pmf_via_generating_function(seq, 1, n, order=n_max + 4).passed,
-        )
-        for n in range(n_max + 1)
+        Case({"identity": "pmf-gf", "seq": seq.label, "n": n}, check.passed)
+        for n, check in enumerate(generating_function_checks(seq, 1, n_max, order=n_max + 4))
     ]
 
 

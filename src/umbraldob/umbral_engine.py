@@ -119,13 +119,13 @@ class PsiSequence:
         """psi(x)*psi(x-1)*...*psi(x-k+1); zero as soon as the index-0 value enters."""
         if x < 0 or k < 0:
             raise ValueError("falling factorial needs non-negative arguments")
-        out = Fraction(1)
-        for j in range(k):
-            arg = x - j
+        num = den = 1  # one reduction at the end instead of one per factor
+        for arg in range(x, x - k, -1):
             if arg == 0:
                 return Fraction(0)
-            out *= self.value(arg)
-        return out
+            v = self.value(arg)
+            num, den = num * v.numerator, den * v.denominator
+        return Fraction(num, den)
 
 
 def q_number_symbolic(n: int) -> Poly:
@@ -143,14 +143,6 @@ def gauss_number(n: int, q) -> Fraction:
         acc += p
         p *= q
     return acc
-
-
-def gauss_factorial(n: int, q) -> Fraction:
-    """Numeric q-factorial at a rational q."""
-    out = Fraction(1)
-    for k in range(1, n + 1):
-        out *= gauss_number(k, q)
-    return out
 
 
 # Rows 0..m of the second-kind triangle, appended only under the lock.

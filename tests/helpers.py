@@ -51,3 +51,24 @@ def partial_sum(term, n_terms):
 def exp_partial(n_terms=51):
     """Partial sum of 1/k!, the classical-series reference point."""
     return partial_sum(lambda k: Fraction(1, factorial(k)), n_terms)
+
+
+def naive_q_difference(coefficients, q, n):
+    """The n-th Jackson q-difference of a truncated series, straight from the definition.
+
+    One step moves the coefficient of t**m to t**(m-1), times the power sum
+    1 + q + ... + q**(m-1).
+    """
+    q = Fraction(q)
+    cs = [Fraction(c) for c in coefficients]
+    for _ in range(n):
+        cs = [cs[m] * sum(q**j for j in range(m)) for m in range(1, len(cs))]
+    return cs
+
+
+def naive_gf_coefficient_verdict(coefficients, q, n):
+    """Does the n-th q-difference at t = 0, over the power-sum q-factorial of n, give coefficient n?"""
+    q_factorial = Fraction(1)
+    for m in range(1, n + 1):
+        q_factorial *= sum(Fraction(q) ** j for j in range(m))
+    return naive_q_difference(coefficients, q, n)[0] / q_factorial == coefficients[n]

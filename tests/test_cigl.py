@@ -130,6 +130,14 @@ class TestWeightedCount:
         with pytest.raises(CapExceededError):
             cigl_q_bell(PARTITION_CAP + 1)
 
+    @pytest.mark.parametrize("k", [0, 3, PARTITION_CAP + 2, PARTITION_CAP + 10])
+    def test_entry_checks_n_before_k(self, k):
+        # an empty column (k > n) must not hide an invalid or capped row
+        with pytest.raises(CapExceededError):
+            cigl_q_stirling(PARTITION_CAP + 1, k)
+        with pytest.raises(ValueError):
+            cigl_q_stirling(-1, k)
+
 
 class TestQPowerProduct:
     def test_small_products(self):

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exp_partial, naive_bell
+from helpers import exp_partial, naive_bell, naive_gf_coefficient_verdict, naive_q_difference
+from umbraldob import dobinski
 from umbraldob.dobinski import (
     GeneratingFunctionCheck,
     PsiPoissonDistribution,
     TruncatedSeries,
     default_ratio_threshold,
     dobinski_bell,
+    generating_function_checks,
     jackson_derivative,
     moment_functional,
     poisson_moment_exact,
@@ -23,7 +25,8 @@ from umbraldob.dobinski import (
 )
 from umbraldob.errors import NonConvergentError
 from umbraldob.exact_core import Poly
-from umbraldob.umbral_engine import PsiSequence
+from umbraldob.identities import RUNNERS
+from umbraldob.umbral_engine import PsiSequence, gauss_number
 
 CLASSICAL = PsiSequence.classical()
 FIB = PsiSequence.fibonacci()
@@ -226,6 +229,16 @@ class TestTruncatedSeries:
         assert jackson_derivative(TruncatedSeries.of((0, 0, 1)), 1).coefficients == (0, 2)
         assert jackson_derivative(TruncatedSeries.of((7,)), 1).coefficients == ()
 
+    @given(
+        st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=1, max_size=16),
+        st.fractions(min_value=0, max_value=3, max_denominator=64).filter(lambda q: 0 < q < 3),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_bracket_at_every_degree(self, coeffs, q):
+        got = jackson_derivative(TruncatedSeries.of(coeffs), q).coefficients
+        assert got == tuple(coeffs[n] * gauss_number(n, q) for n in range(1, len(coeffs)))
+        assert list(got) == naive_q_difference(coeffs, q, 1)
+
     @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=21))
     @settings(max_examples=50)
     def test_q_one_is_ordinary_derivative(self, coeffs):
@@ -264,7 +277,38 @@ class TestGeneratingFunction:
             verify_pmf_via_generating_function(CLASSICAL, 1, 5, 3)
         with pytest.raises(ValueError):
             verify_pmf_via_generating_function(CLASSICAL, 0, 2, 8)
+        with pytest.raises(ValueError):
+            verify_pmf_via_generating_function(CLASSICAL, 1, -1, 4)
 
     @pytest.mark.parametrize("n", range(5))
     def test_orders_zero_through_four(self, n):
         assert verify_pmf_via_generating_function(HALF, 1, n, n + 4).passed
+
+    @pytest.mark.parametrize("seq", [CLASSICAL, HALF, THREE_HALVES], ids=lambda seq: seq.label)
+    @pytest.mark.parametrize("lam", [1, 2])
+    def test_shared_chain_matches_definition(self, seq, lam):
+        order = 16
+        checks = generating_function_checks(seq, lam, 12, order)
+        assert len(checks) == 13
+        coeffs = [Fraction(lam) ** k / seq.factorial(k) for k in range(order + 1)]
+        q = 1 if seq is CLASSICAL else seq.q
+        for n, check in enumerate(checks):
+            assert check.coefficient_ok == naive_gf_coefficient_verdict(coeffs, q, n)
+            # at lam = 1 the normalized mean is exactly 1; elsewhere it is skipped
+            assert check.mean_ok is (True if lam == 1 else None)
+            assert check == verify_pmf_via_generating_function(seq, lam, n, order)
+
+    def test_runner_sums_the_mean_once(self, monkeypatch):
+        calls, real = [], dobinski.certified_sum
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dobinski, "certified_sum", counting)
+        counts = []
+        for n_max in (3, 12):
+            calls.clear()
+            assert all(case.ok for case in RUNNERS["pmf-gf"](HALF, n_max))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0

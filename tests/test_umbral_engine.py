@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from math import gcd, prod
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,6 @@ from umbraldob.umbral_engine import (
     bell_via_sum,
     carlitz_q_stirling,
     classical_stirling_table,
-    gauss_factorial,
     gauss_number,
     psi_stirling_diagnostic,
     q_number_symbolic,
@@ -68,6 +68,27 @@ class TestPsiSequence:
                 for k in range(x + 1):
                     assert seq.falling(x, k) == seq.factorial(x) / seq.factorial(x - k)
 
+    @pytest.mark.parametrize(
+        "seq",
+        BUILTIN_SEQS
+        + [
+            PsiSequence.gauss_q(Fraction(11, 16)),
+            PsiSequence.gauss_q(Fraction(17, 16)),
+            PsiSequence.custom([0] + [Fraction(3 * j + 1, j % 7 + 2) for j in range(1, 41)]),
+        ],
+        ids=lambda seq: seq.label,
+    )
+    def test_falling_is_the_reduced_product(self, seq):
+        for x in range(41):
+            for k in range(x + 2):
+                naive = Fraction(1)
+                for arg in range(x, x - k, -1):
+                    naive *= seq.value(arg)
+                got = seq.falling(x, k)
+                assert got == naive
+                assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+                assert (got == 0) == (k == x + 1)
+
     def test_custom_sequence(self):
         seq = PsiSequence.custom([0, 1, Fraction(3, 2), 2])
         assert seq.value(2) == Fraction(3, 2)
@@ -93,7 +114,6 @@ class TestPsiSequence:
 
     def test_numeric_helpers(self):
         assert gauss_number(3, Fraction(1, 2)) == Fraction(7, 4)
-        assert gauss_factorial(3, 1) == 6
         assert gauss_number(0, Fraction(2)) == 0
 
 
@@ -236,7 +256,7 @@ class TestThreadSafety:
             # a q no other test uses, so every trial starts from empty prefixes
             q = Fraction(1000 + trial, 997)
             seq = PsiSequence.gauss_q(q)
-            assert race(lambda: seq.factorial(40)) == [gauss_factorial(40, q)] * 4
+            assert race(lambda: seq.factorial(40)) == [prod(gauss_number(k, q) for k in range(1, 41))] * 4
 
     def test_stirling_rows(self):
         rows = umbral_engine._STIRLING_ROWS
