@@ -38,7 +38,6 @@ from .exact_core import (
     SUM_CAP_ENV,
     CertifiedValue,
     Poly,
-    Rational,
     certified_sum,
 )
 from .operator_calc import (

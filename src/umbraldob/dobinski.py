@@ -8,6 +8,10 @@ recover the Bell tower, which is what the verify_* routines check.  A fully
 exact route (no intervals) is available through the classical Stirling
 recursion: rota_bell_exact and poisson_moment_exact.  The generating-function
 route runs one q-difference chain and one mean sum per sweep over n.
+
+Every series is truncated by one rule: certified_sum with the threshold
+default_ratio_threshold(seq, lam), which also rejects lam outside the domain
+of exp_psi.  No function here takes a per-call summation setting.
 """
 
 from __future__ import annotations
@@ -27,56 +31,46 @@ from .umbral_engine import (
 
 
 def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
-    """A truncation threshold safely above the asymptotic term ratio.
+    """The truncation threshold of every certified series of exp_psi type at lam.
 
-    For a Gauss sequence with q < 1 the brackets tend to 1/(1-q), so the
-    term ratios of the exponential-type series tend to lam*(1-q), which can
-    exceed 1/2 (for example q=1/4 at lam=1 gives 3/4).  Splitting the gap
+    This is the one place where the summation rule meets the sequence: it
+    rejects lam <= 0 (ValueError) and lam outside the radius of exp_psi
+    (NonConvergentError), and otherwise returns a threshold safely above the
+    asymptotic term ratio.  For a Gauss sequence with q < 1 the brackets tend
+    to 1/(1-q), so the term ratios tend to rho = lam*(1-q); at rho >= 1 the
+    terms do not even tend to zero, so this fails fast instead of grinding
+    toward the summation cap on ever-larger exact rationals.  Below that,
+    rho can exceed 1/2 (q=1/4 at lam=1 gives 3/4), and splitting the gap
     toward 1 keeps the threshold reachable while the geometric tail bound
     stays finite.  Every other built-in kind has ratios that tend to 0.
     """
     lam = Fraction(lam)
+    if lam <= 0:
+        raise ValueError("lam must be positive")
     if seq.kind == GAUSS_Q and seq.q < 1:
         rho = lam * (1 - seq.q)
-        if rho < 1:
-            return max(Fraction(1, 2), (1 + rho) / 2)
+        if rho >= 1:
+            raise NonConvergentError(
+                f"exp_psi diverges for {seq.label} at lam={lam}: need lam < {1 / (1 - seq.q)}"
+            )
+        return max(Fraction(1, 2), (1 + rho) / 2)
     return Fraction(1, 2)
 
 
-def _admissible(seq: PsiSequence, lam, ratio_threshold) -> tuple[Fraction, Fraction]:
-    """Validate lam for exp_psi and resolve the default truncation threshold."""
-    lam = Fraction(lam)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    # exp_psi(lam) for a Gauss sequence with q < 1 has radius 1/(1-q); at or
-    # beyond it the terms do not even tend to zero, so fail fast instead of
-    # grinding toward the summation cap on ever-larger exact rationals.
-    if seq.kind == GAUSS_Q and seq.q < 1 and lam * (1 - seq.q) >= 1:
-        raise NonConvergentError(
-            f"exp_psi diverges for {seq.label} at lam={lam}: need lam < {1 / (1 - seq.q)}"
-        )
-    if ratio_threshold is None:
-        ratio_threshold = default_ratio_threshold(seq, lam)
-    return lam, ratio_threshold
-
-
-def psi_exp(seq: PsiSequence, lam, ratio_threshold=None) -> CertifiedValue:
+def psi_exp(seq: PsiSequence, lam) -> CertifiedValue:
     """Certified interval for exp_psi(lam) = sum_k lam**k / factorial(k)."""
-    lam, thr = _admissible(seq, lam, ratio_threshold)
+    thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
     return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
 
 
-def _normalized_sum(
-    seq: PsiSequence, lam, pos, neg=None, ratio_threshold=None, normalizer=None
-) -> CertifiedValue:
+def _normalized_sum(seq: PsiSequence, lam, pos, neg=None) -> CertifiedValue:
     """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) * lam**k / factorial(k).
 
     pos and neg (None for zero) are non-negative weights, each summed as its
     own non-negative series as certified_sum requires.
     """
-    lam, thr = _admissible(seq, lam, ratio_threshold)
-    if normalizer is None:
-        normalizer = psi_exp(seq, lam, thr)
+    thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
+    normalizer = psi_exp(seq, lam)
 
     def series(weight) -> CertifiedValue:
         if weight is None:
@@ -100,8 +94,8 @@ class PsiPoissonDistribution:
     normalizer: CertifiedValue
 
     @classmethod
-    def create(cls, seq: PsiSequence, lam, ratio_threshold=None) -> "PsiPoissonDistribution":
-        return cls(seq, Fraction(lam), psi_exp(seq, lam, ratio_threshold=ratio_threshold))
+    def create(cls, seq: PsiSequence, lam) -> "PsiPoissonDistribution":
+        return cls(seq, Fraction(lam), psi_exp(seq, lam))
 
     def pmf(self, k: int) -> tuple[Fraction, Fraction]:
         """Exact bounds (lower, upper) for the probability of k."""
@@ -111,13 +105,7 @@ class PsiPoissonDistribution:
         return numer / self.normalizer.hi, numer / self.normalizer.lo
 
 
-def moment_functional(
-    seq: PsiSequence,
-    lam,
-    p: Poly,
-    ratio_threshold=None,
-    normalizer: CertifiedValue | None = None,
-) -> CertifiedValue:
+def moment_functional(seq: PsiSequence, lam, p: Poly) -> CertifiedValue:
     """Certified interval for the normalized moment of a polynomial.
 
     Computes exp_psi(lam)**-1 * sum_k p(psi(k)) * lam**k / factorial(k).
@@ -129,10 +117,10 @@ def moment_functional(
         part = Poly(tuple(max(sign * c, 0) for c in p.coeffs), p.var)
         return (lambda k: part.evaluate(seq.value(k))) if part else None
 
-    return _normalized_sum(seq, lam, weight(1), weight(-1), ratio_threshold, normalizer)
+    return _normalized_sum(seq, lam, weight(1), weight(-1))
 
 
-def verify_falling_moment(seq: PsiSequence, n: int, ratio_threshold=None) -> CertifiedValue:
+def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
     """Interval for the normalized n-th falling-factorial moment at lam = 1.
 
     The true value is exactly 1 for every admissible sequence: the first n
@@ -141,10 +129,10 @@ def verify_falling_moment(seq: PsiSequence, n: int, ratio_threshold=None) -> Cer
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _normalized_sum(seq, 1, lambda k: seq.falling(k, n), ratio_threshold=ratio_threshold)
+    return _normalized_sum(seq, 1, lambda k: seq.falling(k, n))
 
 
-def dobinski_bell(seq: PsiSequence, n: int, ratio_threshold=None) -> CertifiedValue:
+def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
     """Interval for the normalized n-th power moment at lam = 1.
 
     For the classical sequence this brackets the n-th Bell number; for a
@@ -152,7 +140,7 @@ def dobinski_bell(seq: PsiSequence, n: int, ratio_threshold=None) -> CertifiedVa
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _normalized_sum(seq, 1, lambda k: seq.value(k) ** n, ratio_threshold=ratio_threshold)
+    return _normalized_sum(seq, 1, lambda k: seq.value(k) ** n)
 
 
 def rota_bell_exact(n: int) -> int:
@@ -220,7 +208,7 @@ class GeneratingFunctionCheck:
 
 
 def generating_function_checks(
-    seq: PsiSequence, lam, n_max: int, order: int, ratio_threshold=None
+    seq: PsiSequence, lam, n_max: int, order: int
 ) -> list[GeneratingFunctionCheck]:
     """Check the pmf against its generating function G(t) = sum_k p_k t**k, for n = 0..n_max.
 
@@ -253,8 +241,7 @@ def generating_function_checks(
     coeffs = [lam**k / seq.factorial(k) for k in range(order + 1)]
     mean_ok = None
     if lam == 1:
-        mean = _normalized_sum(seq, lam, lambda k: gauss_number(k, qv), ratio_threshold=ratio_threshold)
-        mean_ok = mean.contains(1)
+        mean_ok = _normalized_sum(seq, lam, lambda k: gauss_number(k, qv)).contains(1)
     series, q_factorial, checks = TruncatedSeries.of(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:
@@ -264,8 +251,6 @@ def generating_function_checks(
     return checks
 
 
-def verify_pmf_via_generating_function(
-    seq: PsiSequence, lam, n: int, order: int, ratio_threshold=None
-) -> GeneratingFunctionCheck:
+def verify_pmf_via_generating_function(seq: PsiSequence, lam, n: int, order: int) -> GeneratingFunctionCheck:
     """The verdicts of generating_function_checks for one n."""
-    return generating_function_checks(seq, lam, n, order, ratio_threshold)[n]
+    return generating_function_checks(seq, lam, n, order)[n]

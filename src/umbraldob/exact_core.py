@@ -17,11 +17,11 @@ from typing import Callable, Iterable, Union
 
 from .errors import NegativeTermError, NonConvergentError
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 DEFAULT_SUM_CAP = 10_000
 SUM_CAP_ENV = "UMBRALDOB_SUM_CAP"
+MONOTONE_WINDOW = 8
 
 
 def summation_cap() -> int:
@@ -198,12 +198,6 @@ class CertifiedValue:
     def __sub__(self, other: "CertifiedValue") -> "CertifiedValue":
         return CertifiedValue(self.lo - other.hi, self.hi - other.lo)
 
-    def scale(self, c) -> "CertifiedValue":
-        c = Fraction(c)
-        if c >= 0:
-            return CertifiedValue(self.lo * c, self.hi * c)
-        return CertifiedValue(self.hi * c, self.lo * c)
-
     def div_by_positive(self, other: "CertifiedValue") -> "CertifiedValue":
         """Divide by an interval with other.lo > 0."""
         if other.lo <= 0:
@@ -213,20 +207,17 @@ class CertifiedValue:
         return CertifiedValue(lo, hi)
 
 
-def certified_sum(
-    term: Callable[[int], Scalar],
-    ratio_threshold: Scalar = Fraction(1, 2),
-    lookahead: int = 8,
-    hard_cap: int | None = None,
-) -> CertifiedValue:
+def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> CertifiedValue:
     """Bracket the sum of a non-negative series between exact rationals.
 
     The series is truncated at the first index K (past any leading zero
     terms) where term(K+1)/term(K) <= ratio_threshold and the term ratios
-    stay non-increasing over the next ``lookahead`` steps.  The tail beyond K
-    is then bounded by the geometric series at the threshold ratio, giving
-    [S_K, S_K + 2*term(K+1)] for thresholds up to 1/2 and
-    [S_K, S_K + term(K+1)/(1-threshold)] above that.
+    stay non-increasing over the next MONOTONE_WINDOW (8) steps.  The tail
+    beyond K is then bounded by the geometric series at the threshold ratio,
+    giving [S_K, S_K + 2*term(K+1)] for thresholds up to 1/2 and
+    [S_K, S_K + term(K+1)/(1-threshold)] above that.  The threshold is the
+    caller's: every series of the package takes it from
+    dobinski.default_ratio_threshold.
 
     The window check is a monotonicity heuristic: a series whose ratios
     resume growing beyond the window defeats it.  The factorial-type series
@@ -234,15 +225,13 @@ def certified_sum(
     suite cross-checks every interval against independent routes.
 
     Raises NegativeTermError on a negative term and NonConvergentError when
-    no truncation point qualifies below the hard cap (default 10000,
+    no truncation point qualifies below summation_cap() (default 10000,
     overridable via UMBRALDOB_SUM_CAP).
     """
     thr = Fraction(ratio_threshold)
     if not 0 < thr < 1:
         raise ValueError("ratio_threshold must lie strictly between 0 and 1")
-    if lookahead < 1:
-        raise ValueError("lookahead must be a positive integer")
-    cap = summation_cap() if hard_cap is None else hard_cap
+    cap = summation_cap()
 
     terms: list[Fraction] = []
 
@@ -270,8 +259,8 @@ def certified_sum(
         r = ratio(k)
         if r > thr:
             continue
-        window = [r] + [ratio(j) for j in range(k + 1, k + 1 + lookahead)]
-        if all(window[i + 1] <= window[i] for i in range(lookahead)):
+        window = [r] + [ratio(j) for j in range(k + 1, k + 1 + MONOTONE_WINDOW)]
+        if all(window[i + 1] <= window[i] for i in range(MONOTONE_WINDOW)):
             partial = sum(terms[: k + 1], Fraction(0))
             return CertifiedValue(partial, partial + tail_factor * t(k + 1))
     raise NonConvergentError(f"no certified truncation point within hard cap {cap}")

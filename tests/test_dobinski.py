@@ -47,6 +47,40 @@ class TestDefaultThreshold:
         assert default_ratio_threshold(QUARTER, 1) == Fraction(7, 8)
         assert default_ratio_threshold(HALF, Fraction(1, 2)) == Fraction(5, 8)
 
+    @pytest.mark.parametrize("seq", BUILTIN_SEQS, ids=lambda seq: seq.label)
+    def test_rejects_non_positive_lam(self, seq):
+        with pytest.raises(ValueError):
+            default_ratio_threshold(seq, 0)
+
+    @pytest.mark.parametrize("seq, lam", [(HALF, 2), (QUARTER, Fraction(4, 3))], ids=["q=1/2", "q=1/4"])
+    def test_rejects_lam_outside_the_radius(self, seq, lam):
+        with pytest.raises(NonConvergentError):
+            default_ratio_threshold(seq, lam)
+
+    @pytest.mark.parametrize(
+        "route, seq, lam",
+        [
+            (psi_exp, QUARTER, Fraction(1, 2)),
+            (PsiPoissonDistribution.create, HALF, Fraction(3, 2)),
+            (lambda seq, lam: moment_functional(seq, lam, Poly((0, -1, 1), "x")), QUARTER, 1),
+            (lambda seq, lam: verify_falling_moment(seq, 3), HALF, 1),
+            (lambda seq, lam: dobinski_bell(seq, 3), QUARTER, 1),
+            (lambda seq, lam: generating_function_checks(seq, lam, 2, 4), HALF, 1),
+        ],
+        ids=["psi_exp", "create", "moment_functional", "falling", "dobinski_bell", "pmf_gf_mean"],
+    )
+    def test_every_series_route_uses_it(self, monkeypatch, route, seq, lam):
+        # every case has a threshold above 1/2, so a route that falls back to 1/2 shows
+        thresholds, real = [], dobinski.certified_sum
+
+        def recording(term, ratio_threshold):
+            thresholds.append(ratio_threshold)
+            return real(term, ratio_threshold)
+
+        monkeypatch.setattr(dobinski, "certified_sum", recording)
+        route(seq, lam)
+        assert thresholds and set(thresholds) == {default_ratio_threshold(seq, lam)}
+
 
 class TestPsiExp:
     def test_classical_brackets_e(self):
@@ -62,12 +96,6 @@ class TestPsiExp:
 
     def test_gauss_one_matches_classical(self):
         assert psi_exp(PsiSequence.gauss_q(1), 1) == psi_exp(CLASSICAL, 1)
-
-    def test_tighter_threshold_narrows(self):
-        wide = psi_exp(CLASSICAL, 1, ratio_threshold=Fraction(1, 2))
-        tight = psi_exp(CLASSICAL, 1, ratio_threshold=Fraction(1, 10))
-        assert tight.width < wide.width
-        assert wide.lo <= tight.lo and tight.hi <= wide.hi
 
     def test_rejects_bad_lam(self):
         with pytest.raises(ValueError):
@@ -135,12 +163,6 @@ class TestMomentFunctional:
         got = moment_functional(CLASSICAL, 1, Poly((0, -1, 1), "x"))
         assert got.contains(1)
 
-    def test_shared_normalizer_reused(self):
-        norm = psi_exp(CLASSICAL, 1)
-        a = moment_functional(CLASSICAL, 1, Poly((0, 1), "x"), normalizer=norm)
-        b = moment_functional(CLASSICAL, 1, Poly((0, 1), "x"))
-        assert a == b
-
     @given(
         st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
     )
@@ -161,12 +183,6 @@ class TestFallingMoment:
     @pytest.mark.parametrize("n", [0, 1, 3, 7, 10])
     def test_contains_one(self, seq, n):
         assert verify_falling_moment(seq, n).contains(1)
-
-    def test_tighter_threshold_narrows(self):
-        wide = verify_falling_moment(HALF, 4, ratio_threshold=Fraction(3, 4))
-        tight = verify_falling_moment(HALF, 4, ratio_threshold=Fraction(5, 8))
-        assert tight.width < wide.width
-        assert tight.contains(1)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -312,3 +328,21 @@ class TestGeneratingFunction:
             assert all(case.ok for case in RUNNERS["pmf-gf"](HALF, n_max))
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+    def test_runner_catches_a_chain_one_step_short(self, monkeypatch):
+        # the mutant returns its input on the first step of each chain, so check n
+        # reads the chain after n - 1 steps; at lam = 1 every such check still passes
+        stepped, real = [], dobinski.jackson_derivative
+
+        def skip_first_step(s, q):
+            if any(s is t for t in stepped):
+                stepped.append(real(s, q))
+                return stepped[-1]
+            stepped.append(s)
+            return s
+
+        assert all(c.passed for c in generating_function_checks(HALF, 1, 6, 10))
+        monkeypatch.setattr(dobinski, "jackson_derivative", skip_first_step)
+        assert all(c.passed for c in generating_function_checks(HALF, 1, 6, 10))
+        verdicts = [case.ok for case in RUNNERS["pmf-gf"](HALF, 6)]
+        assert verdicts == [True] + [False] * 6

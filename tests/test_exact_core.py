@@ -126,9 +126,10 @@ class TestCertifiedSum:
         with pytest.raises(NegativeTermError):
             certified_sum(lambda k: Fraction(-1) if k == 3 else Fraction(1, factorial(k)), Fraction(1, 2))
 
-    def test_divergent_series_hits_cap(self):
+    def test_divergent_series_hits_cap(self, monkeypatch):
+        monkeypatch.setenv("UMBRALDOB_SUM_CAP", "200")
         with pytest.raises(NonConvergentError):
-            certified_sum(lambda k: Fraction(1), Fraction(1, 2), hard_cap=200)
+            certified_sum(lambda k: Fraction(1), Fraction(1, 2))
 
     def test_threshold_validated(self):
         with pytest.raises(ValueError):
