@@ -6,7 +6,10 @@ in the identity registry in one go, the sequence-dependent ones once per
 built-in sequence, and prints one verdict line per suite and sequence, with
 the widest certified interval where the suite reads its verdicts from
 intervals.  A sequence the suite has no reference route for is reported as
-skipped.  Exits nonzero if anything failed.
+skipped.  Unless --skip-enumeration is given, it then counts the restricted
+growth strings of every length up to min(n_max, 12) in one brute-force walk
+and checks each count against the exact Bell routes.  Exits nonzero if
+anything failed.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10 --skip-enumeration
@@ -17,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from umbraldob.cigl import enumerate_partitions
+from umbraldob.cigl import partition_counts
 from umbraldob.dobinski import rota_bell_exact
 from umbraldob.errors import UnsupportedSequenceError
 from umbraldob.exact_core import summation_cap
@@ -58,12 +61,10 @@ def run(n_max: int, skip_enumeration: bool) -> int:
     if not skip_enumeration:
         top = min(n_max, 12)
         print(f"enumeration: brute-force count vs exact routes (n <= {top})")
+        counts = partition_counts(top)
         report(
             "restricted growth strings",
-            all(
-                sum(1 for _ in enumerate_partitions(n)) == rota_bell_exact(n) == dobinski_specialization(n)
-                for n in range(top + 1)
-            ),
+            all(counts[n] == rota_bell_exact(n) == dobinski_specialization(n) for n in range(top + 1)),
         )
 
     failures = verdicts.count(False)
@@ -77,7 +78,7 @@ def main() -> int:
     parser.add_argument(
         "--skip-enumeration",
         action="store_true",
-        help="skip the brute-force partition count (the slow part past n=11)",
+        help="skip the brute-force partition count (one walk over every length up to min(n-max, 12))",
     )
     args = parser.parse_args()
     if args.n_max < 0:

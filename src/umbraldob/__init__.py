@@ -10,6 +10,7 @@ from .cigl import (
     cigl_q_stirling_table,
     cigl_statistic,
     enumerate_partitions,
+    partition_counts,
 )
 from .dobinski import (
     GeneratingFunctionCheck,

@@ -73,8 +73,9 @@ class SetPartition:
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every restricted growth string of length n in lexicographic order.
 
-    Streams plain tuples (cheap at the several-million scale of n = 12);
-    wrap one in SetPartition when a validated object is wanted.
+    This is the tuple API, and the tests' reference for every count and
+    statistic; the CLI oracle counts with partition_counts, which builds no
+    tuples.  Wrap a string in SetPartition when a validated object is wanted.
     """
     _check_cap(n)
     if n == 0:
@@ -95,6 +96,36 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
             a[j] = 0
             b[j] = nb
         yield tuple(a)
+
+
+def partition_counts(n: int) -> list[int]:
+    """Number of restricted growth strings of each length 0..n, from one depth-first walk.
+
+    Each string is built once, from its parent by choosing a last entry in
+    range(top + 1), where top is the parent's block count and the entry top
+    opens a new block; it is counted once at its length.  The walk keeps only
+    (length, block count) and builds no tuple, and the last level is tallied
+    in its parent's loop, with no call per leaf.  counts[m] is the Bell
+    number B(m) by brute force, sharing no code with the recurrences or the
+    series.
+    """
+    _check_cap(n)
+    counts = [1] + [0] * n  # the empty string
+
+    def extend(length: int, top: int) -> None:
+        if length + 1 == n:
+            leaves = 0
+            for _ in range(top + 1):
+                leaves += 1
+            counts[n] += leaves
+            return
+        for last in range(top + 1):
+            counts[length + 1] += 1
+            extend(length + 1, top + (last == top))
+
+    if n:
+        extend(0, 0)
+    return counts
 
 
 def cigl_statistic(partition) -> int:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import click
 
-from .cigl import PARTITION_CAP, cigl_q_stirling_table, enumerate_partitions
+from .cigl import PARTITION_CAP, cigl_q_stirling_table, partition_counts
 from .dobinski import PsiPoissonDistribution, dobinski_bell, rota_bell_exact
 from .errors import UmbralDobError
 from .exact_core import CertifiedValue, Poly, summation_cap
@@ -214,8 +214,9 @@ def cmd_oracle(n: int, fmt: str) -> None:
     rows: list[tuple[str, str]] = []
     any_fail = False
     try:
+        counts = partition_counts(n)
         for m in range(n + 1):
-            count = sum(1 for _ in enumerate_partitions(m))
+            count = counts[m]
             rota = rota_bell_exact(m)
             operator = dobinski_specialization(m)
             interval = dobinski_bell(classical, m)

@@ -14,9 +14,18 @@ from umbraldob.cigl import (
     cigl_q_stirling,
     cigl_statistic,
     enumerate_partitions,
+    partition_counts,
 )
 from umbraldob.errors import CapExceededError
 from umbraldob.exact_core import Poly
+
+
+@pytest.fixture(scope="module")
+def counts_by_length():
+    """Per-length string counts up to 10 from the recursive helper and from the tuple API."""
+    naive = [sum(1 for _ in naive_partitions(m)) for m in range(11)]
+    tuples = [sum(1 for _ in enumerate_partitions(m)) for m in range(11)]
+    return naive, tuples
 
 
 class TestEnumeration:
@@ -37,11 +46,20 @@ class TestEnumeration:
         for rgs in enumerate_partitions(6):
             SetPartition(rgs)  # raises on a malformed string
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_walk_counts_every_length(self, n, counts_by_length):
+        naive, tuples = counts_by_length
+        assert partition_counts(n) == naive[: n + 1] == tuples[: n + 1]
+
     def test_cap(self):
         with pytest.raises(CapExceededError):
             list(enumerate_partitions(PARTITION_CAP + 1))
         with pytest.raises(ValueError):
             list(enumerate_partitions(-1))
+        with pytest.raises(CapExceededError):
+            partition_counts(PARTITION_CAP + 1)
+        with pytest.raises(ValueError):
+            partition_counts(-1)
 
 
 class TestSetPartition:

@@ -187,6 +187,21 @@ class TestOracle:
         assert result.exit_code == 1
         assert "fail" in result.output
 
+    def test_enumeration_disagreement_exits_one(self, monkeypatch):
+        walk = cli_module.partition_counts
+
+        def one_off(n):
+            counts = walk(n)
+            counts[2] += 1
+            return counts
+
+        monkeypatch.setattr(cli_module, "partition_counts", one_off)
+        result = invoke("oracle", "--n", "3", "--format", "csv")
+        assert result.exit_code == 1
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1", "1", "3", "5"]
+        assert [row[-1] for row in rows] == ["pass", "pass", "fail", "pass"]
+
     def test_cap(self):
         result = invoke("oracle", "--n", "14")
         assert result.exit_code == 2

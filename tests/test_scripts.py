@@ -8,13 +8,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_sweep(**env_extra):
+def run_sweep(*flags, **env_extra):
     env = dict(os.environ)
     env.pop("UMBRALDOB_SUM_CAP", None)
     env.update(env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_identity_suite.py"), "--n-max", "4", "--skip-enumeration"],
+        [sys.executable, str(ROOT / "scripts" / "run_identity_suite.py"), "--n-max", "4", *flags],
         capture_output=True,
         text=True,
         env=env,
@@ -23,7 +23,7 @@ def run_sweep(**env_extra):
 
 
 def test_identity_suite_sweep_exits_zero():
-    result = run_sweep()
+    result = run_sweep("--skip-enumeration")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 failure(s)" in result.stdout
     assert "[ -- ] fibonacci  (skipped)" in result.stdout
@@ -31,8 +31,15 @@ def test_identity_suite_sweep_exits_zero():
 
 def test_bad_cap_is_a_usage_error():
     # exit 1 means a failed verdict; an unusable setting is exit 2 with a message
-    result = run_sweep(UMBRALDOB_SUM_CAP="abc")
+    result = run_sweep("--skip-enumeration", UMBRALDOB_SUM_CAP="abc")
     assert result.returncode == 2, result.stdout + result.stderr
     assert "UMBRALDOB_SUM_CAP must be a positive integer" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_enumeration_line_agrees():
+    result = run_sweep()
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "enumeration: brute-force count vs exact routes (n <= 4)" in result.stdout
+    assert "  [ok ] restricted growth strings\n" in result.stdout
