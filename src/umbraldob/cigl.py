@@ -141,7 +141,7 @@ def cigl_q_stirling_table(n_max: int) -> StirlingTable:
     statistic), or joins one of the other k - 1 blocks.
     """
     _check_cap(n_max)
-    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n) + (k - 1))
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n) + (k - 1), Poly((1,)))
 
 
 def cigl_q_stirling(n: int, k: int) -> Poly:

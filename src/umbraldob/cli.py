@@ -33,7 +33,7 @@ from .errors import UmbralDobError
 from .exact_core import CertifiedValue, Poly, summation_cap
 from .identities import RUNNERS as _IDENTITY_RUNNERS
 from .operator_calc import dobinski_specialization
-from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, stirling2
+from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
 IDENTITIES = tuple(_IDENTITY_RUNNERS)
@@ -119,21 +119,17 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
     records: list[dict] = []
     rows: list[tuple[str, str]] = []
     try:
-        value_of = {
-            "stirling": lambda m, k: str(stirling2(m, k)),
-            "bell": lambda m: str(rota_bell_exact(m)),
-        }.get(kind)
-        if value_of is None:
-            # A q-kind builds its tower once and reads its triangle or its row sums.
-            tower = (carlitz_q_stirling if kind.startswith("q-") else cigl_q_stirling_table)(n)
-            value_of = (
-                (lambda m, k: poly_coeff_list(tower.entry(m, k)))
-                if triangle
-                else (lambda m: poly_coeff_list(bell_via_sum(tower, m)))
-            )
+        # Every kind builds its tower once and reads its triangle or its row sums.
+        if kind.startswith("q-"):
+            tower, show = carlitz_q_stirling(n), poly_coeff_list
+        elif kind.startswith("cigl-"):
+            tower, show = cigl_q_stirling_table(n), poly_coeff_list
+        else:
+            tower, show = classical_stirling_table(n), str
+        read = (lambda m, k: tower.entry(m, k)) if triangle else (lambda m: bell_via_sum(tower, m))
         for m in range(n + 1):
             for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
-                value = value_of(*params.values())
+                value = show(read(*params.values()))
                 records.append({"kind": kind, "parameters": params, "value": value})
                 cell = value if isinstance(value, str) else ";".join(value)
                 front = ",".join(str(v) for v in params.values())

@@ -5,9 +5,10 @@ sum_k p(psi(k)) * lam**k / psi-factorial(k), normalized by the generalized
 exponential exp_psi(lam) = sum_k lam**k / psi-factorial(k).  At lam = 1 the
 normalized falling-factorial moments are exactly 1 and the power moments
 recover the Bell tower, which is what the verify_* routines check.  A fully
-exact route (no intervals) is available through the classical Stirling
-recursion: rota_bell_exact and poisson_moment_exact.  The generating-function
-route runs one q-difference chain and one mean sum per sweep over n.
+exact route (no intervals) is available through the row sums of the
+classical Stirling triangle: rota_bell_exact and poisson_moment_exact.  The
+generating-function route runs one q-difference chain and one mean sum per
+sweep over n.
 
 Every series is truncated by one rule: certified_sum with the threshold
 default_ratio_threshold(seq, lam), which also rejects lam outside the domain
@@ -25,8 +26,9 @@ from .umbral_engine import (
     CLASSICAL,
     GAUSS_Q,
     PsiSequence,
+    bell_via_sum,
+    classical_stirling_table,
     gauss_number,
-    stirling2,
 )
 
 
@@ -145,7 +147,7 @@ def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
 
 def rota_bell_exact(n: int) -> int:
     """The n-th Bell number as the row sum of the second-kind triangle."""
-    return sum(stirling2(n, k) for k in range(n + 1))
+    return bell_via_sum(classical_stirling_table(n), n)
 
 
 def poisson_moment_exact(p: Poly):
@@ -155,9 +157,9 @@ def poisson_moment_exact(p: Poly):
     (powers of x weighted by q-polynomials) pass through coefficient-wise and
     yield a polynomial.
     """
-    acc = Fraction(0)
+    table, acc = classical_stirling_table(max(p.degree, 0)), Fraction(0)
     for m, c in enumerate(p.coeffs):
-        acc = acc + c * rota_bell_exact(m)
+        acc = acc + c * bell_via_sum(table, m)
     return acc
 
 

@@ -4,11 +4,13 @@ A psi-sequence assigns an exact rational to every non-negative index, with
 value 0 at index 0 and positive values afterwards.  The built-in kinds are
 the classical integers, the Gauss q-brackets for a positive rational q, the
 Fibonacci numbers, and user-supplied finite tables.  From such a sequence we
-get generalized factorials and falling factorials.  The q-Stirling towers
-come from one three-term recurrence builder,
-T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from T(0,0) = 1; after
-Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right [k]_q give the
-Carlitz q-analogue.  The classical triangle stays on plain integers.
+get generalized factorials and falling factorials.  Every Stirling tower
+comes from one three-term recurrence builder,
+T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from a seed T(0,0) that
+fixes the ring: left 1 and right k from the int 1 give the classical
+triangle; after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right
+[k]_q from the polynomial 1 give the Carlitz q-analogue.  No table is cached:
+each caller builds the tower it reads and holds it.
 """
 
 from __future__ import annotations
@@ -145,36 +147,16 @@ def gauss_number(n: int, q) -> Fraction:
     return acc
 
 
-# Rows 0..m of the second-kind triangle, appended only under the lock.
-_STIRLING_ROWS: list[list[int]] = [[1]]
-_STIRLING_LOCK = threading.Lock()
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into k nonempty blocks."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 arguments must be non-negative")
-    if k > n:
-        return 0
-    with _STIRLING_LOCK:
-        while len(_STIRLING_ROWS) <= n:
-            m = len(_STIRLING_ROWS)
-            prev = _STIRLING_ROWS[m - 1]
-            row = [0] * (m + 1)
-            for j in range(1, m + 1):
-                row[j] = (prev[j - 1] if j - 1 < len(prev) else 0) + j * (
-                    prev[j] if j < len(prev) else 0
-                )
-            _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[n][k]
-
-
 @dataclass(frozen=True)
 class StirlingTable:
-    """Triangular array of polynomial Stirling entries, rows 0..n_max."""
+    """Triangular array of Stirling entries, rows 0..n_max.
+
+    The entries are ints for the classical triangle and polynomials for the
+    q-towers; every entry of one table lies in the same ring.
+    """
 
     n_max: int
-    rows: tuple[tuple[Poly, ...], ...]
+    rows: tuple[tuple[int | Poly, ...], ...]
 
     def __post_init__(self):
         if len(self.rows) != self.n_max + 1:
@@ -183,7 +165,7 @@ class StirlingTable:
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
 
-    def entry(self, n: int, k: int) -> Poly:
+    def entry(self, n: int, k: int) -> int | Poly:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"row {n} outside table (n_max={self.n_max})")
         if not 0 <= k <= n:
@@ -191,19 +173,22 @@ class StirlingTable:
         return self.rows[n][k]
 
 
-def recurrence_table(n_max: int, left, right) -> StirlingTable:
-    """Rows 0..n_max of T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k), T(0,0) = 1.
+def recurrence_table(n_max: int, left, right, seed: int | Poly) -> StirlingTable:
+    """Rows 0..n_max of T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k), T(0,0) = seed.
 
-    The weights may be ints or polynomials; entries outside 0 <= k <= n are zero.
+    The seed fixes the ring of the entries (1 for ints, Poly((1,)) for
+    polynomials); the weights may be ints or polynomials, and entries outside
+    0 <= k <= n are the ring's zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    rows = [(Poly((1,)),)]
+    zero = seed * 0
+    rows = [(seed,)]
     for n in range(n_max):
-        prev = rows[-1] + (Poly(()),)
+        prev = rows[-1] + (zero,)
         rows.append(
             tuple(
-                (left(n, k) * prev[k - 1] if k else Poly(())) + right(n, k) * prev[k]
+                (left(n, k) * prev[k - 1] if k else zero) + right(n, k) * prev[k]
                 for k in range(n + 2)
             )
         )
@@ -211,11 +196,17 @@ def recurrence_table(n_max: int, left, right) -> StirlingTable:
 
 
 def classical_stirling_table(n_max: int) -> StirlingTable:
-    """The second-kind triangle as degree-0 polynomial entries."""
-    rows = tuple(
-        tuple(Poly((stirling2(n, k),)) for k in range(n + 1)) for n in range(n_max + 1)
-    )
-    return StirlingTable(n_max, rows)
+    """The second-kind triangle S(n+1,k) = S(n,k-1) + k*S(n,k) on plain ints."""
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: k, 1)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-set into k nonempty blocks."""
+    if n < 0 or k < 0:
+        raise ValueError("stirling2 arguments must be non-negative")
+    if k > n:
+        return 0
+    return classical_stirling_table(n).entry(n, k)
 
 
 def carlitz_q_stirling(n_max: int) -> StirlingTable:
@@ -226,15 +217,15 @@ def carlitz_q_stirling(n_max: int) -> StirlingTable:
     [j]_q**n = sum_k entry(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q, which
     psi_stirling_diagnostic solves independently at a rational q.
     """
-    return recurrence_table(n_max, lambda n, k: Poly.monomial(1, k - 1), lambda n, k: q_number_symbolic(k))
+    return recurrence_table(
+        n_max, lambda n, k: Poly.monomial(1, k - 1), lambda n, k: q_number_symbolic(k), Poly((1,))
+    )
 
 
-def bell_via_sum(table: StirlingTable, n: int) -> Poly:
-    """Row sum of a Stirling table: the matching Bell number or polynomial."""
-    acc = Poly(())
-    for k in range(n + 1):
-        acc = acc + table.entry(n, k)
-    return acc
+def bell_via_sum(table: StirlingTable, n: int) -> int | Poly:
+    """Row sum of a Stirling table in its own ring: the Bell number or polynomial."""
+    first = table.entry(n, 0)  # checks n before the row is read
+    return sum(table.rows[n][1:], first)
 
 
 def psi_stirling_diagnostic(

@@ -3,6 +3,8 @@
 import json
 import sys
 from fractions import Fraction
+from itertools import accumulate
+from math import comb, factorial
 
 import pytest
 from click.testing import CliRunner
@@ -61,6 +63,27 @@ class TestTable:
         recs = records_of(result)
         entry = next(r for r in recs if r["parameters"] == {"n": 3, "k": 2})
         assert entry["value"] == ["0/1", "2/1", "1/1"]
+
+    def test_classical_kinds_print_plain_integers(self):
+        # References independent of the Stirling recurrence: the explicit
+        # inclusion-exclusion sum for S(n, k) and Aitken's array for B(n).
+        def explicit(n, k):
+            return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+
+        bells, row = [1], [1]
+        for _ in range(25):
+            row = list(accumulate(row, initial=row[-1]))
+            bells.append(row[0])
+        result = invoke("table", "--kind", "bell", "--n", "25", "--format", "csv")
+        assert result.exit_code == 0
+        assert result.output.splitlines()[1:] == [f"{n},{b}" for n, b in enumerate(bells)]
+        result = invoke("table", "--kind", "stirling", "--n", "20", "--format", "json")
+        assert result.exit_code == 0
+        recs = records_of(result)
+        assert len(recs) == 21 * 22 // 2
+        for rec in recs:
+            n, k = rec["parameters"]["n"], rec["parameters"]["k"]
+            assert rec["value"] == str(explicit(n, k))
 
     def test_pretty_default(self):
         result = invoke("table", "--kind", "bell", "--n", "5")

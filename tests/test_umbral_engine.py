@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_bell, naive_stirling2
-from umbraldob import umbral_engine
+from umbraldob.dobinski import rota_bell_exact
 from umbraldob.errors import OutOfRangeError
 from umbraldob.exact_core import Poly
 from umbraldob.umbral_engine import (
@@ -142,6 +142,23 @@ class TestStirling2:
                 assert stirling2(n, k) == naive_stirling2(n, k)
 
 
+class TestIntegerTower:
+    """The classical triangle stays on ints; the q-towers stay on polynomials."""
+
+    @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
+    def test_entries_and_row_sums_are_ints(self, n_max):
+        t = classical_stirling_table(n_max)
+        for n in range(n_max + 1):
+            assert all(type(t.entry(n, k)) is int for k in range(n + 1))
+            assert type(bell_via_sum(t, n)) is int
+            assert type(stirling2(n, n)) is int
+            assert type(rota_bell_exact(n)) is int
+
+    def test_q_tower_row_sum_at_zero_is_a_polynomial(self):
+        total = bell_via_sum(carlitz_q_stirling(0), 0)
+        assert type(total) is Poly and total.coeffs == (1,)
+
+
 class TestCarlitzTable:
     def test_frozen_entries(self):
         t = carlitz_q_stirling(6)
@@ -189,6 +206,12 @@ class TestBellViaSum:
         t = classical_stirling_table(6)
         assert bell_via_sum(t, 5) == naive_bell(5) == 52
         assert bell_via_sum(t, 0) == 1
+
+    def test_row_out_of_range(self):
+        t = classical_stirling_table(3)
+        for n in (-1, 4):
+            with pytest.raises(ValueError):
+                bell_via_sum(t, n)
 
     def test_carlitz(self):
         t = carlitz_q_stirling(4)
@@ -259,12 +282,7 @@ class TestThreadSafety:
             assert race(lambda: seq.factorial(40)) == [prod(gauss_number(k, q) for k in range(1, 41))] * 4
 
     def test_stirling_rows(self):
-        rows = umbral_engine._STIRLING_ROWS
-        del rows[1:]
+        # No table is shared between calls, so racing threads each build their own tower.
         expected = stirling2(60, 30)
-        try:
-            for _ in range(10):
-                del rows[1:]
-                assert race(lambda: stirling2(60, 30)) == [expected] * 4
-        finally:
-            del rows[1:]
+        for _ in range(10):
+            assert race(lambda: stirling2(60, 30)) == [expected] * 4
