@@ -28,7 +28,7 @@ from fractions import Fraction
 import click
 
 from .cigl import PARTITION_CAP, cigl_q_stirling_table, partition_counts
-from .dobinski import PsiPoissonDistribution, dobinski_bell, rota_bell_exact
+from .dobinski import PsiPoissonDistribution, dobinski_bells
 from .errors import UmbralDobError
 from .exact_core import CertifiedValue, Poly, summation_cap
 from .identities import RUNNERS as _IDENTITY_RUNNERS
@@ -205,17 +205,14 @@ def cmd_oracle(n: int, fmt: str) -> None:
     """Cross-check the Bell numbers along every independent route up to n."""
     if n > PARTITION_CAP:
         _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
-    classical = PsiSequence.classical()
     records: list[dict] = []
     rows: list[tuple[str, str]] = []
     any_fail = False
     try:
-        counts = partition_counts(n)
-        for m in range(n + 1):
-            count = counts[m]
-            rota = rota_bell_exact(m)
-            operator = dobinski_specialization(m)
-            interval = dobinski_bell(classical, m)
+        counts, table = partition_counts(n), classical_stirling_table(n)
+        intervals = dobinski_bells(PsiSequence.classical(), range(n + 1))
+        for m, (count, interval) in enumerate(zip(counts, intervals)):
+            rota, operator = bell_via_sum(table, m), dobinski_specialization(m)
             agree = count == rota and operator == rota and interval.contains(rota)
             any_fail = any_fail or not agree
             op = str(operator.numerator) if operator.denominator == 1 else frac_text(operator)

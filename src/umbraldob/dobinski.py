@@ -6,9 +6,10 @@ exponential exp_psi(lam) = sum_k lam**k / psi-factorial(k).  At lam = 1 the
 normalized falling-factorial moments are exactly 1 and the power moments
 recover the Bell tower, which is what the verify_* routines check.  A fully
 exact route (no intervals) is available through the row sums of the
-classical Stirling triangle: rota_bell_exact and poisson_moment_exact.  The
-generating-function route runs one q-difference chain and one mean sum per
-sweep over n.
+classical Stirling triangle: rota_bell_exact and poisson_moment_exact.  A
+sweep over n sums the normalizer exp_psi(1) once and builds each falling-moment
+weight from the last as a running product; the generating-function route runs
+one q-difference chain and one mean sum per sweep.
 
 Every series is truncated by one rule: certified_sum with the threshold
 default_ratio_threshold(seq, lam), which also rejects lam outside the domain
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterable
 
 from .errors import NonConvergentError
 from .exact_core import CertifiedValue, Poly, certified_sum
@@ -65,11 +67,11 @@ def psi_exp(seq: PsiSequence, lam) -> CertifiedValue:
     return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
 
 
-def _normalized_sum(seq: PsiSequence, lam, pos, neg=None) -> CertifiedValue:
-    """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) * lam**k / factorial(k).
+def _normalized_sums(seq: PsiSequence, lam, weights) -> list[CertifiedValue]:
+    """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) * lam**k / factorial(k) per (pos, neg) in weights.
 
     pos and neg (None for zero) are non-negative weights, each summed as its
-    own non-negative series as certified_sum requires.
+    own non-negative series as certified_sum requires; exp_psi(lam) is summed once for all.
     """
     thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
     normalizer = psi_exp(seq, lam)
@@ -79,7 +81,7 @@ def _normalized_sum(seq: PsiSequence, lam, pos, neg=None) -> CertifiedValue:
             return CertifiedValue(Fraction(0), Fraction(0))
         return certified_sum(lambda k: weight(k) * lam**k / seq.factorial(k), thr)
 
-    return (series(pos) - series(neg)).div_by_positive(normalizer)
+    return [(series(pos) - series(neg)).div_by_positive(normalizer) for pos, neg in weights]
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,30 @@ def moment_functional(seq: PsiSequence, lam, p: Poly) -> CertifiedValue:
         part = Poly(tuple(max(sign * c, 0) for c in p.coeffs), p.var)
         return (lambda k: part.evaluate(seq.value(k))) if part else None
 
-    return _normalized_sum(seq, lam, weight(1), weight(-1))
+    return _normalized_sums(seq, lam, [(weight(1), weight(-1))])[0]
+
+
+def _falling_weight(seq: PsiSequence, n: int) -> Callable[[int], Fraction]:
+    """The weights falling(k, n) for k = 0, 1, 2, ... in turn; any other order raises ValueError."""
+    next_k, last = 0, Fraction(0)
+
+    def weight(k: int) -> Fraction:
+        nonlocal next_k, last
+        if k != next_k:
+            raise ValueError(f"falling weight asked for term {k}, expected term {next_k}")
+        next_k += 1
+        if k == n:
+            last = seq.falling(n, n)
+        elif k > n:
+            last = last * seq.value(k) / seq.value(k - n)
+        return last
+
+    return weight
+
+
+def falling_moments(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
+    """verify_falling_moment for each n in ns, against one sum of exp_psi(1)."""
+    return _normalized_sums(seq, 1, [(_falling_weight(seq, n), None) for n in ns])
 
 
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -131,7 +156,12 @@ def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _normalized_sum(seq, 1, lambda k: seq.falling(k, n))
+    return falling_moments(seq, [n])[0]
+
+
+def dobinski_bells(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
+    """dobinski_bell for each n in ns, against one sum of exp_psi(1)."""
+    return _normalized_sums(seq, 1, [(lambda k, n=n: seq.value(k) ** n, None) for n in ns])
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -142,7 +172,7 @@ def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _normalized_sum(seq, 1, lambda k: seq.value(k) ** n)
+    return dobinski_bells(seq, [n])[0]
 
 
 def rota_bell_exact(n: int) -> int:
@@ -243,7 +273,7 @@ def generating_function_checks(
     coeffs = [lam**k / seq.factorial(k) for k in range(order + 1)]
     mean_ok = None
     if lam == 1:
-        mean_ok = _normalized_sum(seq, lam, lambda k: gauss_number(k, qv)).contains(1)
+        mean_ok = _normalized_sums(seq, lam, [(lambda k: gauss_number(k, qv), None)])[0].contains(1)
     series, q_factorial, checks = TruncatedSeries.of(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:

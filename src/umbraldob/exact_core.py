@@ -217,7 +217,8 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
     giving [S_K, S_K + 2*term(K+1)] for thresholds up to 1/2 and
     [S_K, S_K + term(K+1)/(1-threshold)] above that.  The threshold is the
     caller's: every series of the package takes it from
-    dobinski.default_ratio_threshold.
+    dobinski.default_ratio_threshold.  term is called for k = 0, 1, 2, ...
+    in turn, once each, so a term may carry state from k - 1 to k.
 
     The window check is a monotonicity heuristic: a series whose ratios
     resume growing beyond the window defeats it.  The factorial-type series

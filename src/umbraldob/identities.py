@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .cigl import cigl_q_bell, cigl_q_dobinski_exact
-from .dobinski import dobinski_bell, generating_function_checks, verify_falling_moment
+from .dobinski import dobinski_bells, falling_moments, generating_function_checks
 from .errors import UnsupportedSequenceError
 from .exact_core import CertifiedValue
 from .operator_calc import verify_conjugation
@@ -26,15 +26,15 @@ class Case(NamedTuple):
     interval: CertifiedValue | None = None
 
 
-def _series_case(identity: str, seq: PsiSequence, n: int, interval: CertifiedValue, expected) -> Case:
-    return Case({"identity": identity, "seq": seq.label, "n": n}, interval.contains(expected), interval)
+def _series_cases(identity: str, seq: PsiSequence, intervals: list[CertifiedValue], expected) -> list[Case]:
+    return [
+        Case({"identity": identity, "seq": seq.label, "n": n}, interval.contains(expected[n]), interval)
+        for n, interval in enumerate(intervals)
+    ]
 
 
 def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
-    return [
-        _series_case("falling-moment", seq, n, verify_falling_moment(seq, n), 1)
-        for n in range(n_max + 1)
-    ]
+    return _series_cases("falling-moment", seq, falling_moments(seq, range(n_max + 1)), [1] * (n_max + 1))
 
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
@@ -48,10 +48,7 @@ def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
         raise UnsupportedSequenceError(
             "identity dobinski needs an exact reference value: use classical or q=<rational>"
         )
-    return [
-        _series_case("dobinski", seq, n, dobinski_bell(seq, n), expected[n])
-        for n in range(n_max + 1)
-    ]
+    return _series_cases("dobinski", seq, dobinski_bells(seq, range(n_max + 1)), expected)
 
 
 def cigl_dobinski(seq: PsiSequence, n_max: int) -> list[Case]:

@@ -205,7 +205,7 @@ class TestOracle:
         assert Fraction(last[4]) <= 52 <= Fraction(last[5])
 
     def test_disagreement_exits_one(self, monkeypatch):
-        monkeypatch.setattr(cli_module, "rota_bell_exact", lambda m: -1)
+        monkeypatch.setattr(cli_module, "bell_via_sum", lambda table, m: -1)
         result = invoke("oracle", "--n", "2")
         assert result.exit_code == 1
         assert "fail" in result.output

@@ -14,6 +14,8 @@ from umbraldob.dobinski import (
     TruncatedSeries,
     default_ratio_threshold,
     dobinski_bell,
+    dobinski_bells,
+    falling_moments,
     generating_function_checks,
     jackson_derivative,
     moment_functional,
@@ -66,8 +68,13 @@ class TestDefaultThreshold:
             (lambda seq, lam: verify_falling_moment(seq, 3), HALF, 1),
             (lambda seq, lam: dobinski_bell(seq, 3), QUARTER, 1),
             (lambda seq, lam: generating_function_checks(seq, lam, 2, 4), HALF, 1),
+            (lambda seq, lam: falling_moments(seq, range(4)), HALF, 1),
+            (lambda seq, lam: dobinski_bells(seq, range(4)), QUARTER, 1),
         ],
-        ids=["psi_exp", "create", "moment_functional", "falling", "dobinski_bell", "pmf_gf_mean"],
+        ids=[
+            "psi_exp", "create", "moment_functional", "falling", "dobinski_bell", "pmf_gf_mean",
+            "falling_moments", "dobinski_bells",
+        ],
     )
     def test_every_series_route_uses_it(self, monkeypatch, route, seq, lam):
         # every case has a threshold above 1/2, so a route that falls back to 1/2 shows
@@ -188,6 +195,53 @@ class TestFallingMoment:
         with pytest.raises(ValueError):
             verify_falling_moment(CLASSICAL, -1)
 
+    # Every built-in kind, and a table with no rule behind it, whose values repeat rarely.
+    WEIGHT_SEQS = [
+        CLASSICAL,
+        FIB,
+        *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "11/16", "17/16", "3/2")),
+        PsiSequence.custom([0] + [Fraction(7 * j % 11 + 1, j % 4 + 1) for j in range(1, 61)], "custom-60"),
+    ]
+
+    @pytest.mark.parametrize("seq", WEIGHT_SEQS, ids=lambda seq: seq.label)
+    def test_running_weight_is_the_falling_factorial(self, seq):
+        # At lam = 1 a wrong weight can still give an interval that contains 1, so the
+        # running product is checked against the n-factor product itself, zeros included.
+        for n in range(31):
+            weight = dobinski._falling_weight(seq, n)
+            assert [weight(k) for k in range(n + 31)] == [seq.falling(k, n) for k in range(n + 31)]
+
+    def test_weight_rejects_terms_out_of_order(self):
+        weight = dobinski._falling_weight(HALF, 2)
+        with pytest.raises(ValueError, match="asked for term 1, expected term 0"):
+            weight(1)
+        weight = dobinski._falling_weight(HALF, 2)
+        assert [weight(0), weight(1), weight(2)] == [0, 0, HALF.falling(2, 2)]
+        for k in (2, 4, 0):
+            with pytest.raises(ValueError):
+                weight(k)
+
+    @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)
+    def test_runner_equals_single_calls(self, seq):
+        intervals = [case.interval for case in RUNNERS["falling-moment"](seq, 30)]
+        assert intervals == [verify_falling_moment(seq, n) for n in range(31)]
+
+    @pytest.mark.parametrize("identity", ["falling-moment", "dobinski"])
+    def test_runner_sums_the_normalizer_once(self, monkeypatch, identity):
+        calls, real = [], dobinski.psi_exp
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(dobinski, "psi_exp", counting)
+        counts = []
+        for n_max in (3, 20):
+            calls.clear()
+            assert all(case.ok for case in RUNNERS[identity](HALF, n_max))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
 
 class TestDobinskiBell:
     def test_classical_values(self):
@@ -207,6 +261,11 @@ class TestDobinskiBell:
         one = PsiSequence.gauss_q(1)
         for n in range(7):
             assert dobinski_bell(one, n).contains(rota_bell_exact(n))
+
+    @pytest.mark.parametrize("seq", [CLASSICAL, HALF, THREE_HALVES], ids=lambda seq: seq.label)
+    def test_runner_equals_single_calls(self, seq):
+        intervals = [case.interval for case in RUNNERS["dobinski"](seq, 30)]
+        assert intervals == [dobinski_bell(seq, n) for n in range(31)]
 
 
 class TestRotaRoute:

@@ -122,6 +122,17 @@ class TestCertifiedSum:
         assert got.lo > 1
         assert got.contains(partial_sum(term, 60))
 
+    def test_terms_are_asked_for_in_turn(self):
+        # the falling-moment weights carry state from term k - 1 to term k
+        asked = []
+
+        def term(k):
+            asked.append(k)
+            return Fraction(1, factorial(k - 5)) if k >= 5 else Fraction(0)
+
+        certified_sum(term, Fraction(1, 2))
+        assert asked == list(range(len(asked)))
+
     def test_negative_term_rejected(self):
         with pytest.raises(NegativeTermError):
             certified_sum(lambda k: Fraction(-1) if k == 3 else Fraction(1, factorial(k)), Fraction(1, 2))
