@@ -116,8 +116,7 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
     if kind.startswith("cigl-") and n > PARTITION_CAP:
         _fail(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
     triangle = kind.endswith("stirling")
-    records: list[dict] = []
-    rows: list[tuple[str, str]] = []
+    records, rows = [], []
     try:
         # Every kind builds its tower once and reads its triangle or its row sums.
         if kind.startswith("q-"):
@@ -151,8 +150,7 @@ def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
         cases = _IDENTITY_RUNNERS[identity](seq, n_max)
     except UmbralDobError as exc:
         _fail(str(exc))
-    records: list[dict] = []
-    rows: list[tuple[str, str]] = []
+    records, rows = [], []
     for case in cases:
         p, verdict = case.params, "pass" if case.ok else "fail"
         records.append({"kind": "verify", "parameters": p, "value": verdict})
@@ -186,8 +184,7 @@ def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
     except UmbralDobError as exc:
         _fail(str(exc))
     base = {"seq": seq.label, "lambda": frac_text(lam)}
-    records: list[dict] = []
-    rows: list[tuple[str, str]] = []
+    records, rows = [], []
     for k, (lo, hi) in enumerate(bounds):
         lo, hi = frac_text(lo), frac_text(hi)
         records.append({"kind": "pmf", "parameters": {**base, "k": k}, "value": [lo, hi]})
@@ -205,8 +202,7 @@ def cmd_oracle(n: int, fmt: str) -> None:
     """Cross-check the Bell numbers along every independent route up to n."""
     if n > PARTITION_CAP:
         _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
-    records: list[dict] = []
-    rows: list[tuple[str, str]] = []
+    records, rows = [], []
     any_fail = False
     try:
         counts, table = partition_counts(n), classical_stirling_table(n)

@@ -7,9 +7,11 @@ normalized falling-factorial moments are exactly 1 and the power moments
 recover the Bell tower, which is what the verify_* routines check.  A fully
 exact route (no intervals) is available through the row sums of the
 classical Stirling triangle: rota_bell_exact and poisson_moment_exact.  A
-sweep over n sums the normalizer exp_psi(1) once and builds each falling-moment
-weight from the last as a running product; the generating-function route runs
-one q-difference chain and one mean sum per sweep.
+sweep over n sums the normalizer exp_psi(1) once and builds the terms of row n
+from those of row n-1, one psi factor each (entry (n, k) is
+falling(k, n) / psi!(k) or psi(k)**n / psi!(k), never the shifted
+1 / psi!(k-n)); the generating-function route runs one q-difference chain and
+one mean sum per sweep.
 
 Every series is truncated by one rule: certified_sum with the threshold
 default_ratio_threshold(seq, lam), which also rejects lam outside the domain
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import NonConvergentError
 from .exact_core import CertifiedValue, Poly, certified_sum
@@ -67,21 +69,22 @@ def psi_exp(seq: PsiSequence, lam) -> CertifiedValue:
     return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
 
 
-def _normalized_sums(seq: PsiSequence, lam, weights) -> list[CertifiedValue]:
-    """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) * lam**k / factorial(k) per (pos, neg) in weights.
+def _normalized_sums(seq: PsiSequence, lam, series) -> list[CertifiedValue]:
+    """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) per pair of term functions (pos, neg) in series.
 
-    pos and neg (None for zero) are non-negative weights, each summed as its
-    own non-negative series as certified_sum requires; exp_psi(lam) is summed once for all.
+    pos and neg (None for zero) give non-negative terms, each summed as its
+    own series as certified_sum requires; exp_psi(lam) is summed once for all.
+    The pairs are drawn one at a time, each after the pair before is summed.
     """
-    thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
+    thr = default_ratio_threshold(seq, lam)
     normalizer = psi_exp(seq, lam)
 
-    def series(weight) -> CertifiedValue:
-        if weight is None:
+    def total(term) -> CertifiedValue:
+        if term is None:
             return CertifiedValue(Fraction(0), Fraction(0))
-        return certified_sum(lambda k: weight(k) * lam**k / seq.factorial(k), thr)
+        return certified_sum(term, thr)
 
-    return [(series(pos) - series(neg)).div_by_positive(normalizer) for pos, neg in weights]
+    return [(total(pos) - total(neg)).div_by_positive(normalizer) for pos, neg in series]
 
 
 @dataclass(frozen=True)
@@ -116,35 +119,43 @@ def moment_functional(seq: PsiSequence, lam, p: Poly) -> CertifiedValue:
     Mixed-sign polynomials are split by monomial sign into two non-negative
     series whose intervals are subtracted.
     """
+    lam = Fraction(lam)
 
-    def weight(sign: int):
+    def terms(sign: int):
         part = Poly(tuple(max(sign * c, 0) for c in p.coeffs), p.var)
-        return (lambda k: part.evaluate(seq.value(k))) if part else None
+        return (lambda k: part.evaluate(seq.value(k)) * lam**k / seq.factorial(k)) if part else None
 
-    return _normalized_sums(seq, lam, [(weight(1), weight(-1))])[0]
+    return _normalized_sums(seq, lam, [(terms(1), terms(-1))])[0]
 
 
-def _falling_weight(seq: PsiSequence, n: int) -> Callable[[int], Fraction]:
-    """The weights falling(k, n) for k = 0, 1, 2, ... in turn; any other order raises ValueError."""
-    next_k, last = 0, Fraction(0)
+def _rows(seq: PsiSequence, ns: Iterable[int], power: bool) -> Iterator[Callable[[int], Fraction]]:
+    """The entries k -> w(k, n) / factorial(k) of row n, for each n in ns in turn.
 
-    def weight(k: int) -> Fraction:
-        nonlocal next_k, last
-        if k != next_k:
-            raise ValueError(f"falling weight asked for term {k}, expected term {next_k}")
-        next_k += 1
-        if k == n:
-            last = seq.falling(n, n)
-        elif k > n:
-            last = last * seq.value(k) / seq.value(k - n)
-        return last
+    w(k, n) is psi(k)**n if power, else falling(k, n).  Where row n-1 came
+    just before and was asked for k, entry (n, k) is entry (n-1, k) times one
+    factor, psi(k) or psi(k-n+1), and a zero entry stays zero; any other
+    entry is computed from w.  A row keeps the entries it is asked for in
+    turn from k = 0 until the next row has been drawn.
+    """
+    kept, last = [], None
+    for n in ns:
+        above, kept, last = kept if last == n - 1 else [], [], n
 
-    return weight
+        def entry(k: int, n=n, above=above, kept=kept) -> Fraction:
+            if k < len(above):
+                v = above[k] and above[k] * seq.value(k if power else k - n + 1)
+            else:
+                v = (seq.value(k) ** n if power else seq.falling(k, n)) / seq.factorial(k)
+            if k == len(kept):
+                kept.append(v)
+            return v
+
+        yield entry
 
 
 def falling_moments(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """verify_falling_moment for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, 1, [(_falling_weight(seq, n), None) for n in ns])
+    return _normalized_sums(seq, 1, ((row, None) for row in _rows(seq, ns, power=False)))
 
 
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -161,7 +172,7 @@ def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
 
 def dobinski_bells(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """dobinski_bell for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, 1, [(lambda k, n=n: seq.value(k) ** n, None) for n in ns])
+    return _normalized_sums(seq, 1, ((row, None) for row in _rows(seq, ns, power=True)))
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -273,7 +284,7 @@ def generating_function_checks(
     coeffs = [lam**k / seq.factorial(k) for k in range(order + 1)]
     mean_ok = None
     if lam == 1:
-        mean_ok = _normalized_sums(seq, lam, [(lambda k: gauss_number(k, qv), None)])[0].contains(1)
+        mean_ok = _normalized_sums(seq, lam, [(lambda k: gauss_number(k, qv) / seq.factorial(k), None)])[0].contains(1)
     series, q_factorial, checks = TruncatedSeries.of(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:

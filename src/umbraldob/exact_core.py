@@ -12,7 +12,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 from typing import Callable, Iterable, Union
 
 from .errors import NegativeTermError, NonConvergentError
@@ -218,7 +217,9 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
     [S_K, S_K + term(K+1)/(1-threshold)] above that.  The threshold is the
     caller's: every series of the package takes it from
     dobinski.default_ratio_threshold.  term is called for k = 0, 1, 2, ...
-    in turn, once each, so a term may carry state from k - 1 to k.
+    in turn, once each, so a caller may keep the terms it was asked for.
+    No rationals are divided: the ratio tests cross-multiply integers,
+    reading 0/0 as 0 and x/0 (x > 0) as infinite.
 
     The window check is a monotonicity heuristic: a series whose ratios
     resume growing beyond the window defeats it.  The factorial-type series
@@ -238,30 +239,35 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
 
     def t(k: int) -> Fraction:
         while len(terms) <= k:
-            v = Fraction(term(len(terms)))
-            if v < 0:
+            v = term(len(terms))
+            v = v if isinstance(v, Fraction) else Fraction(v)
+            if v.numerator < 0:
                 raise NegativeTermError(f"term({len(terms)}) = {v} is negative")
             terms.append(v)
         return terms[k]
 
-    support = next((k for k in range(cap + 1) if t(k) > 0), None)
+    support = next((k for k in range(cap + 1) if t(k).numerator), None)
     if support is None:
         # Identically zero as far as the cap allows us to look.
         return CertifiedValue(Fraction(0), Fraction(0))
 
-    def ratio(j: int):
+    def above_threshold(j: int) -> bool:  # term(j+1)/term(j) > thr
         a, b = t(j), t(j + 1)
-        if a == 0:
-            return Fraction(0) if b == 0 else inf
-        return b / a
+        return b.numerator * a.denominator * thr.denominator > thr.numerator * a.numerator * b.denominator
+
+    def ratio_rises(j: int) -> bool:  # term(j+2)/term(j+1) > term(j+1)/term(j)
+        a, b, c = terms[j : j + 3]
+        if not b:  # the left ratio is 0, the right one 0 or infinite
+            return c > 0
+        # c*a > b*b; at a = 0 the left ratio is infinite and this is false
+        return c.numerator * a.numerator * b.denominator**2 > b.numerator**2 * c.denominator * a.denominator
 
     tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
     for k in range(support, cap + 1):
-        r = ratio(k)
-        if r > thr:
+        if above_threshold(k):
             continue
-        window = [r] + [ratio(j) for j in range(k + 1, k + 1 + MONOTONE_WINDOW)]
-        if all(window[i + 1] <= window[i] for i in range(MONOTONE_WINDOW)):
+        t(k + 1 + MONOTONE_WINDOW)  # the window reads this far before it decides
+        if not any(ratio_rises(j) for j in range(k, k + MONOTONE_WINDOW)):
             partial = sum(terms[: k + 1], Fraction(0))
             return CertifiedValue(partial, partial + tail_factor * t(k + 1))
     raise NonConvergentError(f"no certified truncation point within hard cap {cap}")

@@ -121,11 +121,13 @@ class PsiSequence:
         """psi(x)*psi(x-1)*...*psi(x-k+1); zero as soon as the index-0 value enters."""
         if x < 0 or k < 0:
             raise ValueError("falling factorial needs non-negative arguments")
+        if k == 0:
+            return Fraction(1)
+        self.value(x)  # grows the prefix through x, or checks the custom table
+        if k > x:
+            return Fraction(0)
         num = den = 1  # one reduction at the end instead of one per factor
-        for arg in range(x, x - k, -1):
-            if arg == 0:
-                return Fraction(0)
-            v = self.value(arg)
+        for v in (self.values if self.kind == CUSTOM else self._prefix)[x - k + 1 : x + 1]:
             num, den = num * v.numerator, den * v.denominator
         return Fraction(num, den)
 

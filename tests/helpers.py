@@ -6,7 +6,9 @@ algorithms, so a test comparing the two routes is a real cross-check.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, inf
+
+from umbraldob.errors import NegativeTermError, NonConvergentError
 
 
 def naive_partitions(n):
@@ -72,3 +74,44 @@ def naive_gf_coefficient_verdict(coefficients, q, n):
     for m in range(1, n + 1):
         q_factorial *= sum(Fraction(q) ** j for j in range(m))
     return naive_q_difference(coefficients, q, n)[0] / q_factorial == coefficients[n]
+
+
+def division_certified_sum(term, ratio_threshold, cap=10_000):
+    """The truncation of exact_core.certified_sum, written with rational division.
+
+    The ratio term(j+1)/term(j) is a Fraction, with 0/0 read as 0 and x/0 as
+    infinite, and K is the first index past the leading zeros whose ratio is
+    at most the threshold while the next MONOTONE_WINDOW (8) ratios do not
+    increase.  Returns the interval as a (lo, hi) pair.
+    """
+    thr = Fraction(ratio_threshold)
+    terms = []
+
+    def t(k):
+        while len(terms) <= k:
+            v = Fraction(term(len(terms)))
+            if v < 0:
+                raise NegativeTermError(f"term({len(terms)}) = {v} is negative")
+            terms.append(v)
+        return terms[k]
+
+    support = next((k for k in range(cap + 1) if t(k) > 0), None)
+    if support is None:
+        return Fraction(0), Fraction(0)
+
+    def ratio(j):
+        a, b = t(j), t(j + 1)
+        if a == 0:
+            return Fraction(0) if b == 0 else inf
+        return b / a
+
+    tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
+    for k in range(support, cap + 1):
+        r = ratio(k)
+        if r > thr:
+            continue
+        window = [r] + [ratio(j) for j in range(k + 1, k + 9)]
+        if all(window[i + 1] <= window[i] for i in range(8)):
+            partial = sum(terms[: k + 1], Fraction(0))
+            return partial, partial + tail_factor * t(k + 1)
+    raise NonConvergentError(f"no certified truncation point within hard cap {cap}")

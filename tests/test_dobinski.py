@@ -204,22 +204,39 @@ class TestFallingMoment:
     ]
 
     @pytest.mark.parametrize("seq", WEIGHT_SEQS, ids=lambda seq: seq.label)
-    def test_running_weight_is_the_falling_factorial(self, seq):
-        # At lam = 1 a wrong weight can still give an interval that contains 1, so the
-        # running product is checked against the n-factor product itself, zeros included.
-        for n in range(31):
-            weight = dobinski._falling_weight(seq, n)
-            assert [weight(k) for k in range(n + 31)] == [seq.falling(k, n) for k in range(n + 31)]
+    def test_row_entries_are_their_definitions(self, seq):
+        # At lam = 1 a wrong entry can still give an interval that contains 1, so every entry
+        # built from the row above is checked against its definition, zeros included.
+        ns = range(31)
+        for n, falling, power in zip(ns, dobinski._rows(seq, ns, False), dobinski._rows(seq, ns, True)):
+            ks = range(n + 31)
+            assert [falling(k) for k in ks] == [seq.falling(k, n) / seq.factorial(k) for k in ks]
+            assert [power(k) for k in ks] == [seq.value(k) ** n / seq.factorial(k) for k in ks]
 
-    def test_weight_rejects_terms_out_of_order(self):
-        weight = dobinski._falling_weight(HALF, 2)
-        with pytest.raises(ValueError, match="asked for term 1, expected term 0"):
-            weight(1)
-        weight = dobinski._falling_weight(HALF, 2)
-        assert [weight(0), weight(1), weight(2)] == [0, 0, HALF.falling(2, 2)]
-        for k in (2, 4, 0):
-            with pytest.raises(ValueError):
-                weight(k)
+    @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)
+    def test_sweeps_with_gaps_equal_single_calls(self, seq):
+        # a row is built from the row above only when that row was summed just before it
+        falling, power = falling_moments(seq, range(10)), dobinski_bells(seq, range(10))
+        assert falling_moments(seq, [7]) == [verify_falling_moment(seq, 7)] == [falling[7]]
+        assert falling_moments(seq, [0, 2, 5]) == [verify_falling_moment(seq, n) for n in (0, 2, 5)]
+        assert falling_moments(seq, [0, 2, 5]) == [falling[n] for n in (0, 2, 5)]
+        assert dobinski_bells(seq, [3, 4, 9]) == [dobinski_bell(seq, n) for n in (3, 4, 9)]
+        assert dobinski_bells(seq, [3, 4, 9]) == [power[n] for n in (3, 4, 9)]
+
+    def test_sweep_makes_few_psi_lookups(self, monkeypatch):
+        # 9,173 lookups when every term was built from scratch; about 1,250 row by row
+        calls = []
+        for name in ("value", "factorial", "falling"):
+            real = getattr(PsiSequence, name)
+
+            def counting(self, *args, real=real):
+                calls.append(1)
+                return real(self, *args)
+
+            monkeypatch.setattr(PsiSequence, name, counting)
+        seq = PsiSequence.gauss_q(Fraction(11, 16))
+        assert all(v.contains(1) for v in falling_moments(seq, range(81)))
+        assert 0 < len(calls) <= 1500
 
     @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)
     def test_runner_equals_single_calls(self, seq):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import partial_sum
+from helpers import division_certified_sum, partial_sum
 from umbraldob.errors import NegativeTermError, NonConvergentError
 from umbraldob.exact_core import CertifiedValue, Poly, certified_sum
 
@@ -123,7 +123,7 @@ class TestCertifiedSum:
         assert got.contains(partial_sum(term, 60))
 
     def test_terms_are_asked_for_in_turn(self):
-        # the falling-moment weights carry state from term k - 1 to term k
+        # a moment sweep keeps the terms of one row, in the order asked for, to build the next
         asked = []
 
         def term(k):
@@ -174,6 +174,41 @@ class TestCertifiedSum:
             k += 1
             assert k < 1000
         assert got.contains(partial_sum(term, 10 * k + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.just(0),
+                    st.integers(0, 40),
+                    st.fractions(min_value=0, max_value=40, max_denominator=30),
+                ),
+                st.integers(1, 4),
+            ),
+            max_size=12,
+        ),
+        decay=st.fractions(min_value=0, max_value=2, max_denominator=8),
+        thr=st.fractions(min_value=0, max_value=1, max_denominator=32).filter(lambda x: 0 < x < 1),
+        zero_tail=st.booleans(),
+    )
+    def test_integer_decisions_match_division(self, runs, decay, thr, zero_tail):
+        # runs of equal values, zeros included (0/0 and x/0), then a geometric stretch
+        head = [v for v, length in runs for _ in range(length)]
+        terms = head + [Fraction(1, 3) * decay**j for j in range(12)]
+
+        def term(k):
+            if k >= len(terms) and not zero_tail:
+                raise IndexError(k)
+            return terms[k] if k < len(terms) else 0
+
+        outcomes = []
+        for route in (certified_sum, lambda *args: CertifiedValue(*division_certified_sum(*args))):
+            try:
+                outcomes.append(route(term, thr))
+            except Exception as exc:  # the type is the outcome
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
 
     def test_tighter_threshold_narrows_interval(self):
         term = lambda k: Fraction(1, factorial(k))

@@ -7,7 +7,9 @@ record the corpus again after an intended output change, run
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review the diff of ``golden/corpus.json`` before committing it.
+and review the diff of ``golden/corpus.json`` before committing it.  The same
+command records ``golden/sweeps.json``: the interval endpoints of the
+falling-moment and power-moment sweeps, which the CLI prints only as verdicts.
 """
 
 import json
@@ -16,9 +18,11 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from umbraldob.cli import main
+from umbraldob.cli import main, parse_sequence
+from umbraldob.dobinski import dobinski_bells, falling_moments
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.json"
+SWEEPS = Path(__file__).parent / "golden" / "sweeps.json"
 
 CUSTOM_26 = "custom:" + ",".join(str(k) for k in range(26))
 CUSTOM_4 = "custom:0,1,3/2,2"
@@ -92,7 +96,11 @@ CASES = (
         ({"UMBRALDOB_SUM_CAP": "3"}, ("oracle", "--n", "3")),
         ({"UMBRALDOB_SUM_CAP": "500"}, ("verify", "--identity", "dobinski", "--n-max", "6")),
     ]
+    + [({}, ("oracle", "--n", "10", "--format", "csv"))]
 )
+
+SWEEP_SEQS = ("classical", "fibonacci", "q=1/4", "q=17/16", CUSTOM_26)
+SWEEP_N_MAX = 12
 
 
 def run_case(env, args) -> dict:
@@ -103,6 +111,14 @@ def run_case(env, args) -> dict:
         "stdout": result.stdout,
         "stderr": result.stderr,
         "exit_code": result.exit_code,
+    }
+
+
+def sweep_intervals(descriptor: str) -> dict:
+    seq, ns = parse_sequence(descriptor), range(SWEEP_N_MAX + 1)
+    return {
+        name: [[str(v.lo), str(v.hi)] for v in sweep(seq, ns)]
+        for name, sweep in (("falling", falling_moments), ("power", dobinski_bells))
     }
 
 
@@ -126,8 +142,17 @@ def test_output_is_byte_identical(corpus, index):
     assert got["stderr"] == expected["stderr"]
 
 
+@pytest.mark.parametrize("descriptor", SWEEP_SEQS, ids=lambda d: d[:9])
+def test_sweep_intervals_are_identical(descriptor):
+    recorded = json.loads(SWEEPS.read_text(encoding="utf-8"))
+    assert sweep_intervals(descriptor) == recorded[descriptor]
+
+
 if __name__ == "__main__":
     CORPUS.parent.mkdir(exist_ok=True)
     records = [run_case(env, args) for env, args in CASES]
     CORPUS.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"recorded {len(records)} commands in {CORPUS}")
+    sweeps = {descriptor: sweep_intervals(descriptor) for descriptor in SWEEP_SEQS}
+    SWEEPS.write_text(json.dumps(sweeps, separators=(",", ":")) + "\n", encoding="utf-8")
+    print(f"recorded {len(sweeps)} sequences in {SWEEPS}")

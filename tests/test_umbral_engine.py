@@ -95,6 +95,8 @@ class TestPsiSequence:
         assert seq.factorial(3) == 3
         with pytest.raises(OutOfRangeError):
             seq.value(4)
+        with pytest.raises(OutOfRangeError):
+            seq.falling(5, 7)  # past the table even where the product would be 0
 
     def test_admissibility_rejected(self):
         with pytest.raises(ValueError):
