@@ -7,9 +7,9 @@ built-in sequence, and prints one verdict line per suite and sequence, with
 the widest certified interval where the suite reads its verdicts from
 intervals.  A sequence the suite has no reference route for is reported as
 skipped.  Unless --skip-enumeration is given, it then counts the restricted
-growth strings of every length up to min(n_max, 12) in one brute-force walk
-and checks each count against the exact Bell routes.  Exits nonzero if
-anything failed.
+growth strings of every length up to min(n_max, PARTITION_CAP) in one
+brute-force walk and checks each count against the exact Bell routes.
+Exits nonzero if anything failed.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10 --skip-enumeration
@@ -20,7 +20,7 @@ import sys
 import time
 from fractions import Fraction
 
-from umbraldob.cigl import partition_counts
+from umbraldob.cigl import PARTITION_CAP, partition_counts
 from umbraldob.dobinski import rota_bell_exact
 from umbraldob.errors import UnsupportedSequenceError
 from umbraldob.exact_core import summation_cap
@@ -59,7 +59,7 @@ def run(n_max: int, skip_enumeration: bool) -> int:
             report(label, all(case.ok for case in cases), f"max width {max(widths)}" if widths else "")
 
     if not skip_enumeration:
-        top = min(n_max, 12)
+        top = min(n_max, PARTITION_CAP)
         print(f"enumeration: brute-force count vs exact routes (n <= {top})")
         counts = partition_counts(top)
         report(

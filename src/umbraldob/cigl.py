@@ -16,8 +16,7 @@ is built from it; enumeration stays the independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .dobinski import poisson_moment_exact
 from .errors import CapExceededError
@@ -101,11 +100,14 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
 def partition_counts(n: int) -> list[int]:
     """Number of restricted growth strings of each length 0..n, from one depth-first walk.
 
-    Each string is built once, from its parent by choosing a last entry in
-    range(top + 1), where top is the parent's block count and the entry top
-    opens a new block; it is counted once at its length.  The walk keeps only
-    (length, block count) and builds no tuple, and the last level is tallied
-    in its parent's loop, with no call per leaf.  counts[m] is the Bell
+    A string with top blocks has top + 1 extensions, one per last entry in
+    range(top + 1); the entry top opens a new block.  The walk keeps only
+    (length, top) and builds no tuple.  A string of length <= n - 2 is one
+    call: it adds its top + 1 extensions to the next length and recurses.
+    A string of length n - 1 is one iteration of its parent's loop and adds
+    its own extensions to counts[n], so a string of length n is counted as
+    an extension and never visited.  No count comes from a formula over
+    more than one level, and nothing is memoized: counts[m] is the Bell
     number B(m) by brute force, sharing no code with the recurrences or the
     series.
     """
@@ -113,18 +115,20 @@ def partition_counts(n: int) -> list[int]:
     counts = [1] + [0] * n  # the empty string
 
     def extend(length: int, top: int) -> None:
-        if length + 1 == n:
-            leaves = 0
-            for _ in range(top + 1):
-                leaves += 1
-            counts[n] += leaves
+        counts[length + 1] += top + 1
+        if length + 2 < n:
+            for last in range(top + 1):
+                extend(length + 1, top + (last == top))
             return
+        leaves = 0
         for last in range(top + 1):
-            counts[length + 1] += 1
-            extend(length + 1, top + (last == top))
+            leaves += top + 1 + (last == top)
+        counts[n] += leaves
 
-    if n:
+    if n >= 2:
         extend(0, 0)
+    elif n == 1:
+        counts[1] = 1  # the empty string's one extension
     return counts
 
 

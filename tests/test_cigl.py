@@ -1,5 +1,6 @@
 """Partition enumeration, the zero-block statistic, and the cigl q-tower."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,31 @@ class TestEnumeration:
     def test_walk_counts_every_length(self, n, counts_by_length):
         naive, tuples = counts_by_length
         assert partition_counts(n) == naive[: n + 1] == tuples[: n + 1]
+
+    def test_walk_at_the_oracle_sizes(self):
+        # B(0..12), OEIS A000110
+        assert partition_counts(12) == [
+            1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597,
+        ]
+        assert partition_counts(13)[13] == 27644437
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_walk_calls_once_per_string_of_length_at_most_n_minus_2(self, n):
+        # A memo or a table makes fewer calls; a call per string of length
+        # n - 1 or n makes more.
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            if event == "call" and frame.f_code.co_name == "extend":
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            partition_counts(n)
+        finally:
+            sys.setprofile(None)
+        assert calls == sum(naive_bell(m) for m in range(n - 1))
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
