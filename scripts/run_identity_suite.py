@@ -6,10 +6,12 @@ in the identity registry in one go, the sequence-dependent ones once per
 built-in sequence, and prints one verdict line per suite and sequence, with
 the widest certified interval where the suite reads its verdicts from
 intervals.  A sequence the suite has no reference route for is reported as
-skipped.  Unless --skip-enumeration is given, it then counts the restricted
-growth strings of every length up to min(n_max, PARTITION_CAP) in one
-brute-force walk and checks each count against the exact Bell routes.
-Exits nonzero if anything failed.
+skipped.  Unless --skip-enumeration is given, it then runs the Bell oracle
+of `umbraldob oracle` up to min(n_max, PARTITION_CAP): one brute-force walk
+counts the restricted growth strings of every length, and each count must
+equal the Stirling row sum and the umbral operator value and lie in the
+Dobinski interval.  Exits 1 if a verdict failed, and 2 with a message on
+stderr if a cap or convergence limit stopped the sweep.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10 --skip-enumeration
@@ -20,12 +22,10 @@ import sys
 import time
 from fractions import Fraction
 
-from umbraldob.cigl import PARTITION_CAP, partition_counts
-from umbraldob.dobinski import rota_bell_exact
-from umbraldob.errors import UnsupportedSequenceError
+from umbraldob.cigl import PARTITION_CAP
+from umbraldob.errors import UmbralDobError, UnsupportedSequenceError
 from umbraldob.exact_core import summation_cap
-from umbraldob.identities import PER_SEQUENCE, RUNNERS
-from umbraldob.operator_calc import dobinski_specialization
+from umbraldob.identities import PER_SEQUENCE, RUNNERS, bell_oracle
 from umbraldob.umbral_engine import PsiSequence
 
 SEQUENCES = [
@@ -61,11 +61,7 @@ def run(n_max: int, skip_enumeration: bool) -> int:
     if not skip_enumeration:
         top = min(n_max, PARTITION_CAP)
         print(f"enumeration: brute-force count vs exact routes (n <= {top})")
-        counts = partition_counts(top)
-        report(
-            "restricted growth strings",
-            all(counts[n] == rota_bell_exact(n) == dobinski_specialization(n) for n in range(top + 1)),
-        )
+        report("restricted growth strings", all(row.ok for row in bell_oracle(top)))
 
     failures = verdicts.count(False)
     print(f"\n{failures} failure(s) in {time.perf_counter() - t0:.2f}s")
@@ -78,7 +74,7 @@ def main() -> int:
     parser.add_argument(
         "--skip-enumeration",
         action="store_true",
-        help="skip the brute-force partition count (one walk over every length up to min(n-max, 12))",
+        help=f"skip the brute-force partition count (one walk over every length up to min(n-max, {PARTITION_CAP}))",
     )
     args = parser.parse_args()
     if args.n_max < 0:
@@ -87,7 +83,11 @@ def main() -> int:
         summation_cap()
     except ValueError as exc:
         parser.error(str(exc))
-    return run(args.n_max, args.skip_enumeration)
+    try:
+        return run(args.n_max, args.skip_enumeration)
+    except UmbralDobError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

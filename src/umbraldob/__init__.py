@@ -2,20 +2,17 @@
 
 from .cigl import (
     PARTITION_CAP,
-    SetPartition,
     cigl_q_bell,
     cigl_q_dobinski_exact,
     cigl_q_power,
     cigl_q_stirling,
     cigl_q_stirling_table,
-    cigl_statistic,
     enumerate_partitions,
     partition_counts,
 )
 from .dobinski import (
     GeneratingFunctionCheck,
     PsiPoissonDistribution,
-    TruncatedSeries,
     default_ratio_threshold,
     dobinski_bell,
     generating_function_checks,

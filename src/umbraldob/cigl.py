@@ -15,7 +15,6 @@ is built from it; enumeration stays the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .dobinski import poisson_moment_exact
@@ -37,44 +36,12 @@ def _check_cap(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SetPartition:
-    """A validated restricted growth string over the ground set {0, ..., n-1}."""
-
-    rgs: tuple[int, ...]
-
-    def __post_init__(self):
-        rgs = tuple(int(b) for b in self.rgs)
-        object.__setattr__(self, "rgs", rgs)
-        top = 0
-        for i, b in enumerate(rgs):
-            if i == 0 and b != 0:
-                raise ValueError("rgs must start with block 0")
-            if b < 0 or b > top:
-                raise ValueError(f"rgs entry {b} at position {i} breaks restricted growth")
-            top = max(top, b + 1)
-
-    @property
-    def n(self) -> int:
-        return len(self.rgs)
-
-    @property
-    def block_count(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
-
-    def blocks(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.block_count)]
-        for i, b in enumerate(self.rgs):
-            out[b].append(i)
-        return out
-
-
 def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Yield every restricted growth string of length n in lexicographic order.
 
     This is the tuple API, and the tests' reference for every count and
     statistic; the CLI oracle counts with partition_counts, which builds no
-    tuples.  Wrap a string in SetPartition when a validated object is wanted.
+    tuples.
     """
     _check_cap(n)
     if n == 0:
@@ -130,12 +97,6 @@ def partition_counts(n: int) -> list[int]:
     elif n == 1:
         counts[1] = 1  # the empty string's one extension
     return counts
-
-
-def cigl_statistic(partition) -> int:
-    """Sum of the elements in the block containing 0."""
-    rgs = partition.rgs if isinstance(partition, SetPartition) else tuple(partition)
-    return sum(i for i, b in enumerate(rgs) if b == 0)
 
 
 def cigl_q_stirling_table(n_max: int) -> StirlingTable:

@@ -27,12 +27,11 @@ from fractions import Fraction
 
 import click
 
-from .cigl import PARTITION_CAP, cigl_q_stirling_table, partition_counts
-from .dobinski import PsiPoissonDistribution, dobinski_bells
+from .cigl import PARTITION_CAP, cigl_q_stirling_table
+from .dobinski import PsiPoissonDistribution
 from .errors import UmbralDobError
 from .exact_core import CertifiedValue, Poly, summation_cap
-from .identities import RUNNERS as _IDENTITY_RUNNERS
-from .operator_calc import dobinski_specialization
+from .identities import RUNNERS as _IDENTITY_RUNNERS, bell_oracle
 from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
@@ -202,36 +201,31 @@ def cmd_oracle(n: int, fmt: str) -> None:
     """Cross-check the Bell numbers along every independent route up to n."""
     if n > PARTITION_CAP:
         _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
-    records, rows = [], []
-    any_fail = False
     try:
-        counts, table = partition_counts(n), classical_stirling_table(n)
-        intervals = dobinski_bells(PsiSequence.classical(), range(n + 1))
-        for m, (count, interval) in enumerate(zip(counts, intervals)):
-            rota, operator = bell_via_sum(table, m), dobinski_specialization(m)
-            agree = count == rota and operator == rota and interval.contains(rota)
-            any_fail = any_fail or not agree
-            op = str(operator.numerator) if operator.denominator == 1 else frac_text(operator)
-            lo, hi = interval_pair(interval)
-            verdict = "pass" if agree else "fail"
-            params = {"n": m}
-            records += [
-                {"kind": "enumeration-count", "parameters": params, "value": str(count)},
-                {"kind": "rota-bell", "parameters": params, "value": str(rota)},
-                {"kind": "operator-bell", "parameters": params, "value": op},
-                {"kind": "dobinski-interval", "parameters": params, "value": [lo, hi]},
-                {"kind": "agreement", "parameters": params, "value": verdict},
-            ]
-            rows.append(
-                (
-                    f"{m},{count},{rota},{op},{lo},{hi},{verdict}",
-                    f"n={m}: enumeration={count} rota={rota} operator={op} series=[{lo}, {hi}] -> {verdict}",
-                )
-            )
+        oracle = bell_oracle(n)
     except UmbralDobError as exc:
         _fail(str(exc))
+    records, rows = [], []
+    for m, count, rota, operator, series, ok in oracle:
+        op = str(operator.numerator) if operator.denominator == 1 else frac_text(operator)
+        lo, hi = interval_pair(series)
+        verdict = "pass" if ok else "fail"
+        params = {"n": m}
+        records += [
+            {"kind": "enumeration-count", "parameters": params, "value": str(count)},
+            {"kind": "rota-bell", "parameters": params, "value": str(rota)},
+            {"kind": "operator-bell", "parameters": params, "value": op},
+            {"kind": "dobinski-interval", "parameters": params, "value": [lo, hi]},
+            {"kind": "agreement", "parameters": params, "value": verdict},
+        ]
+        rows.append(
+            (
+                f"{m},{count},{rota},{op},{lo},{hi},{verdict}",
+                f"n={m}: enumeration={count} rota={rota} operator={op} series=[{lo}, {hi}] -> {verdict}",
+            )
+        )
     _emit(fmt, "n,enumeration,rota_bell,operator_bell,dobinski_lo,dobinski_hi,verdict", records, rows)
-    if any_fail:
+    if not all(row.ok for row in oracle):
         sys.exit(1)
 
 

@@ -204,38 +204,18 @@ def poisson_moment_exact(p: Poly):
     return acc
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Power-series prefix: coefficients 0..truncation_order, all exact."""
-
-    coefficients: tuple[Fraction, ...]
-    truncation_order: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-        if len(self.coefficients) != self.truncation_order + 1:
-            raise ValueError("coefficient count must equal truncation_order + 1")
-
-    @classmethod
-    def of(cls, coefficients) -> "TruncatedSeries":
-        cs = tuple(coefficients)
-        return cls(cs, len(cs) - 1)
-
-
-def jackson_derivative(s: TruncatedSeries, q) -> TruncatedSeries:
-    """q-difference operator on a truncated series: a_n -> [n]_q * a_n at degree n-1.
+def jackson_derivative(coefficients: tuple, q) -> tuple:
+    """q-difference operator on a series prefix: a_n -> [n]_q * a_n at degree n-1.
 
     The bracket is carried along the loop as [n]_q = 1 + q*[n-1]_q.  At q = 1
     this is the formal derivative; a constant (or empty) prefix gives the empty series.
     """
     q = Fraction(q)
     coeffs, bracket = [], Fraction(0)
-    for c in s.coefficients[1:]:
+    for c in coefficients[1:]:
         bracket = 1 + q * bracket
         coeffs.append(c * bracket)
-    return TruncatedSeries.of(coeffs)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)
@@ -285,12 +265,12 @@ def generating_function_checks(
     mean_ok = None
     if lam == 1:
         mean_ok = _normalized_sums(seq, lam, [(lambda k: gauss_number(k, qv) / seq.factorial(k), None)])[0].contains(1)
-    series, q_factorial, checks = TruncatedSeries.of(coeffs), Fraction(1), []
+    series, q_factorial, checks = tuple(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:
             series = jackson_derivative(series, qv)
             q_factorial *= gauss_number(n, qv)
-        checks.append(GeneratingFunctionCheck(series.coefficients[0] / q_factorial == coeffs[n], mean_ok))
+        checks.append(GeneratingFunctionCheck(series[0] / q_factorial == coeffs[n], mean_ok))
     return checks
 
 

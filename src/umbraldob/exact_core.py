@@ -149,24 +149,6 @@ class Poly:
             return self
         return Poly((0,) * k + self.coeffs, self.var)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if isinstance(c, Poly):
-                cs = f"({c})"
-            else:
-                cs = str(c)
-            if i == 0:
-                parts.append(cs)
-            else:
-                head = "" if cs == "1" else f"{cs}*"
-                parts.append(f"{head}{self.var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
         return f"Poly({self.coeffs!r}, var={self.var!r})"
 

@@ -3,6 +3,8 @@
 Each runner takes a psi-sequence and a depth n_max and returns one Case per
 checked instance.  A runner whose identity has no reference route for the
 sequence kind raises UnsupportedSequenceError before computing anything.
+bell_oracle compares the Bell numbers along every independent route for
+``umbraldob oracle`` and the sweep script's enumeration line.
 """
 
 from __future__ import annotations
@@ -10,11 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cigl import cigl_q_bell, cigl_q_dobinski_exact
+from .cigl import cigl_q_bell, cigl_q_dobinski_exact, partition_counts
 from .dobinski import dobinski_bells, falling_moments, generating_function_checks
 from .errors import UnsupportedSequenceError
 from .exact_core import CertifiedValue
-from .operator_calc import verify_conjugation
+from .operator_calc import dobinski_specialization, verify_conjugation
 from .umbral_engine import CLASSICAL, GAUSS_Q, PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
 
@@ -96,3 +98,29 @@ RUNNERS: dict[str, Callable[[PsiSequence, int], list[Case]]] = {
 
 # The identities whose verdicts depend on the sequence; the others ignore it.
 PER_SEQUENCE = ("falling-moment", "dobinski", "pmf-gf")
+
+
+class BellRoutes(NamedTuple):
+    """B(n) along each route, and whether they all agree."""
+
+    n: int
+    enumeration: int
+    rota: int
+    operator: Fraction
+    series: CertifiedValue
+    ok: bool
+
+
+def bell_oracle(n_max: int) -> list[BellRoutes]:
+    """B(0..n_max) by partition enumeration, Stirling row sum, umbral operator and Dobinski series.
+
+    A row passes when the count and the operator value equal the row sum and
+    the series interval contains it.  Each route is built once for every n.
+    """
+    counts, table = partition_counts(n_max), classical_stirling_table(n_max)
+    intervals = dobinski_bells(PsiSequence.classical(), range(n_max + 1))
+    rows = []
+    for n, (count, series) in enumerate(zip(counts, intervals)):
+        rota, operator = bell_via_sum(table, n), dobinski_specialization(n)
+        rows.append(BellRoutes(n, count, rota, operator, series, count == rota == operator and series.contains(rota)))
+    return rows

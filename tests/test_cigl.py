@@ -8,12 +8,10 @@ import pytest
 from helpers import naive_bell, naive_partitions, naive_stirling2, zero_block_sum
 from umbraldob.cigl import (
     PARTITION_CAP,
-    SetPartition,
     cigl_q_bell,
     cigl_q_dobinski_exact,
     cigl_q_power,
     cigl_q_stirling,
-    cigl_statistic,
     enumerate_partitions,
     partition_counts,
 )
@@ -45,7 +43,10 @@ class TestEnumeration:
 
     def test_every_string_is_restricted_growth(self):
         for rgs in enumerate_partitions(6):
-            SetPartition(rgs)  # raises on a malformed string
+            top = 0
+            for b in rgs:
+                assert 0 <= b <= top
+                top = max(top, b + 1)
 
     @pytest.mark.parametrize("n", range(11))
     def test_walk_counts_every_length(self, n, counts_by_length):
@@ -88,35 +89,6 @@ class TestEnumeration:
             partition_counts(-1)
 
 
-class TestSetPartition:
-    def test_blocks(self):
-        p = SetPartition((0, 1, 0, 2, 1))
-        assert p.n == 5
-        assert p.block_count == 3
-        assert p.blocks() == [[0, 2], [1, 4], [3]]
-
-    def test_empty(self):
-        p = SetPartition(())
-        assert p.n == 0 and p.block_count == 0 and p.blocks() == []
-
-    @pytest.mark.parametrize("bad", [(1,), (0, 2), (0, 1, 3), (0, -1)])
-    def test_rejects_bad_strings(self, bad):
-        with pytest.raises(ValueError):
-            SetPartition(bad)
-
-
-class TestStatistic:
-    def test_examples(self):
-        assert cigl_statistic((0, 0, 1)) == 1
-        assert cigl_statistic((0, 1, 0)) == 2
-        assert cigl_statistic((0, 0, 0)) == 3
-        assert cigl_statistic((0,)) == 0
-        assert cigl_statistic(()) == 0
-
-    def test_accepts_wrapped_partition(self):
-        assert cigl_statistic(SetPartition((0, 1, 0))) == 2
-
-
 class TestWeightedCount:
     def test_frozen_polynomials(self):
         assert cigl_q_bell(0) == Poly((1,))
@@ -132,7 +104,7 @@ class TestWeightedCount:
         by_blocks = [dict() for _ in range(n + 1)]
         for rgs in enumerate_partitions(n):
             k = (max(rgs) + 1) if rgs else 0
-            s = cigl_statistic(rgs)
+            s = zero_block_sum(rgs)
             by_blocks[k][s] = by_blocks[k].get(s, 0) + 1
         for k in range(n + 1):
             want = Poly(
@@ -145,9 +117,12 @@ class TestWeightedCount:
 
     @pytest.mark.parametrize("n", range(9))
     def test_statistic_oracle_is_consistent(self, n):
-        # the helpers module recomputes the statistic from explicit blocks
+        # the recursive helper and the statistic alone, with no package enumeration
+        weights = {}
         for rgs in naive_partitions(n):
-            assert cigl_statistic(rgs) == zero_block_sum(rgs)
+            s = zero_block_sum(rgs)
+            weights[s] = weights.get(s, 0) + 1
+        assert cigl_q_bell(n) == Poly(tuple(weights.get(s, 0) for s in range(max(weights) + 1)))
 
     def test_block_polynomials_sum_to_total(self):
         for n in range(10):

@@ -10,7 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 from umbraldob import cli as cli_module
+from umbraldob import identities
 from umbraldob.cli import main
+from umbraldob.exact_core import CertifiedValue
 from umbraldob.identities import Case
 
 runner = CliRunner()
@@ -205,25 +207,39 @@ class TestOracle:
         assert Fraction(last[4]) <= 52 <= Fraction(last[5])
 
     def test_disagreement_exits_one(self, monkeypatch):
-        monkeypatch.setattr(cli_module, "bell_via_sum", lambda table, m: -1)
+        monkeypatch.setattr(identities, "bell_via_sum", lambda table, m: -1)
         result = invoke("oracle", "--n", "2")
         assert result.exit_code == 1
         assert "fail" in result.output
 
     def test_enumeration_disagreement_exits_one(self, monkeypatch):
-        walk = cli_module.partition_counts
+        walk = identities.partition_counts
 
         def one_off(n):
             counts = walk(n)
             counts[2] += 1
             return counts
 
-        monkeypatch.setattr(cli_module, "partition_counts", one_off)
+        monkeypatch.setattr(identities, "partition_counts", one_off)
         result = invoke("oracle", "--n", "3", "--format", "csv")
         assert result.exit_code == 1
         rows = [line.split(",") for line in result.output.splitlines()[1:]]
         assert [row[1] for row in rows] == ["1", "1", "3", "5"]
         assert [row[-1] for row in rows] == ["pass", "pass", "fail", "pass"]
+
+    def test_series_disagreement_exits_one(self, monkeypatch):
+        sweep = identities.dobinski_bells
+
+        def shifted(seq, ns):
+            # each interval moved wholly above its Bell number
+            return [CertifiedValue(iv.hi + 1, iv.hi + 2) for iv in sweep(seq, ns)]
+
+        monkeypatch.setattr(identities, "dobinski_bells", shifted)
+        result = invoke("oracle", "--n", "3", "--format", "csv")
+        assert result.exit_code == 1
+        rows = [line.split(",") for line in result.output.splitlines()[1:]]
+        assert [row[1:4] for row in rows] == [["1"] * 3, ["1"] * 3, ["2"] * 3, ["5"] * 3]
+        assert [row[-1] for row in rows] == ["fail"] * 4
 
     def test_cap(self):
         result = invoke("oracle", "--n", "14")

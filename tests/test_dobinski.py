@@ -11,7 +11,6 @@ from umbraldob import dobinski
 from umbraldob.dobinski import (
     GeneratingFunctionCheck,
     PsiPoissonDistribution,
-    TruncatedSeries,
     default_ratio_threshold,
     dobinski_bell,
     dobinski_bells,
@@ -304,22 +303,11 @@ class TestRotaRoute:
         assert poisson_moment_exact(p) == Poly((1, 2))
 
 
-class TestTruncatedSeries:
-    def test_of(self):
-        s = TruncatedSeries.of((1, 2, 3))
-        assert s.truncation_order == 2
-        assert s.coefficients == (1, 2, 3)
-
-    def test_length_checked(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((1, 2), 3)
-
+class TestJacksonDerivative:
     def test_jackson_examples(self):
-        s = TruncatedSeries.of((3, 1, 1))
-        d = jackson_derivative(s, Fraction(1, 2))
-        assert d.coefficients == (1, Fraction(3, 2))
-        assert jackson_derivative(TruncatedSeries.of((0, 0, 1)), 1).coefficients == (0, 2)
-        assert jackson_derivative(TruncatedSeries.of((7,)), 1).coefficients == ()
+        assert jackson_derivative((3, 1, 1), Fraction(1, 2)) == (1, Fraction(3, 2))
+        assert jackson_derivative((0, 0, 1), 1) == (0, 2)
+        assert jackson_derivative((7,), 1) == ()
 
     @given(
         st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), min_size=1, max_size=16),
@@ -327,17 +315,17 @@ class TestTruncatedSeries:
     )
     @settings(max_examples=50, deadline=None)
     def test_bracket_at_every_degree(self, coeffs, q):
-        got = jackson_derivative(TruncatedSeries.of(coeffs), q).coefficients
+        got = jackson_derivative(tuple(coeffs), q)
         assert got == tuple(coeffs[n] * gauss_number(n, q) for n in range(1, len(coeffs)))
         assert list(got) == naive_q_difference(coeffs, q, 1)
 
     @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=21))
     @settings(max_examples=50)
     def test_q_one_is_ordinary_derivative(self, coeffs):
-        got = jackson_derivative(TruncatedSeries.of(coeffs), 1)
+        got = jackson_derivative(tuple(coeffs), 1)
         want = Poly(tuple(coeffs), "x").derivative()
-        assert list(got.coefficients)[: want.degree + 1] == list(want.coeffs)
-        assert all(c == 0 for c in got.coefficients[want.degree + 1 :])
+        assert list(got)[: want.degree + 1] == list(want.coeffs)
+        assert all(c == 0 for c in got[want.degree + 1 :])
 
 
 class TestGeneratingFunction:

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from umbraldob.cigl import PARTITION_CAP
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -43,3 +45,23 @@ def test_enumeration_line_agrees():
     assert result.returncode == 0, result.stdout + result.stderr
     assert "enumeration: brute-force count vs exact routes (n <= 4)" in result.stdout
     assert "  [ok ] restricted growth strings\n" in result.stdout
+
+
+def test_help_names_the_enumeration_cap():
+    result = run_sweep("--help")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert f"min(n-max, {PARTITION_CAP})" in " ".join(result.stdout.split())
+
+
+def test_tiny_sum_cap_is_exit_two():
+    result = run_sweep("--n-max", "3", UMBRALDOB_SUM_CAP="3")
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "error: no certified truncation point within hard cap 3" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_depth_past_partition_cap_is_exit_two():
+    result = run_sweep("--n-max", "14")
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "error: partition enumeration is capped at n=13, got n=14" in result.stderr
+    assert "Traceback" not in result.stderr
