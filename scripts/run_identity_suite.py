@@ -6,12 +6,13 @@ in the identity registry in one go, the sequence-dependent ones once per
 built-in sequence, and prints one verdict line per suite and sequence, with
 the widest certified interval where the suite reads its verdicts from
 intervals.  A sequence the suite has no reference route for is reported as
-skipped.  Unless --skip-enumeration is given, it then runs the Bell oracle
-of `umbraldob oracle` up to min(n_max, PARTITION_CAP): one brute-force walk
-counts the restricted growth strings of every length, and each count must
-equal the Stirling row sum and the umbral operator value and lie in the
-Dobinski interval.  Exits 1 if a verdict failed, and 2 with a message on
-stderr if a cap or convergence limit stopped the sweep.
+skipped.  cigl-dobinski, and the Bell oracle of `umbraldob oracle` that runs
+unless --skip-enumeration is given, stop at min(n_max, PARTITION_CAP).  The
+oracle's one brute-force walk counts the restricted growth strings of every
+length, and each count must equal the Stirling row sum and the umbral
+operator value and lie in the Dobinski interval.  Exits 1 if a verdict
+failed, and 2 with a message on stderr if a cap or convergence limit
+stopped the sweep.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10 --skip-enumeration
@@ -46,12 +47,13 @@ def run(n_max: int, skip_enumeration: bool) -> int:
         print(f"  [{'ok ' if ok else 'FAIL'}] {label}" + (f"  ({detail})" if detail else ""))
 
     for name, runner in RUNNERS.items():
-        print(f"{name} (n <= {n_max})")
+        depth = min(n_max, PARTITION_CAP) if name == "cigl-dobinski" else n_max
+        print(f"{name} (n <= {depth})")
         per_sequence = name in PER_SEQUENCE
         for seq in SEQUENCES if per_sequence else SEQUENCES[:1]:
             label = seq.label if per_sequence else "any sequence"
             try:
-                cases = runner(seq, n_max)
+                cases = runner(seq, depth)
             except UnsupportedSequenceError:
                 print(f"  [ -- ] {label}  (skipped)")
                 continue

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .dobinski import poisson_moment_exact
 from .errors import CapExceededError
 from .exact_core import Poly
 from .umbral_engine import StirlingTable, bell_via_sum, recurrence_table
@@ -146,5 +145,6 @@ def cigl_q_dobinski_exact(n: int) -> Poly:
     matching Bell number, coefficient-wise over the q-polynomials.  The
     result must coincide with cigl_q_bell(n) as an exact polynomial.
     """
+    from .dobinski import poisson_moment_exact  # here, so that the cigl tables load no series code
     res = poisson_moment_exact(cigl_q_power(n))
     return res if isinstance(res, Poly) else Poly((res,))

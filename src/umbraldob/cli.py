@@ -21,21 +21,19 @@ Example::
 
 from __future__ import annotations
 
-import json
 import sys
 from fractions import Fraction
 
 import click
 
-from .cigl import PARTITION_CAP, cigl_q_stirling_table
-from .dobinski import PsiPoissonDistribution
+# Every command runs these; each imports the rest of what it runs in its own body, to keep start-up short.
 from .errors import UmbralDobError
 from .exact_core import CertifiedValue, Poly, summation_cap
-from .identities import RUNNERS as _IDENTITY_RUNNERS, bell_oracle
 from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
-IDENTITIES = tuple(_IDENTITY_RUNNERS)
+# The names of identities.RUNNERS in its order (usage errors print them), without importing it.
+IDENTITIES = ("falling-moment", "dobinski", "cigl-dobinski", "conjugation", "pmf-gf", "q1-reduction")
 FORMATS = ("json", "csv", "pretty")
 
 _JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
@@ -83,6 +81,7 @@ def parse_sequence(descriptor: str) -> PsiSequence:
 def _emit(fmt: str, csv_header: str, records: list[dict], rows: list[tuple[str, str]]) -> None:
     """Print the records as one JSON array, or each row's csv or pretty line."""
     if fmt == "json":
+        import json
         click.echo(json.dumps(records, **_JSON_KW))
         return
     lines = [csv_header, *(csv for csv, _ in rows)] if fmt == "csv" else [pretty for _, pretty in rows]
@@ -112,18 +111,20 @@ def main() -> None:
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_table(kind: str, n: int, fmt: str) -> None:
     """Print a Stirling triangle or Bell sequence up to n."""
-    if kind.startswith("cigl-") and n > PARTITION_CAP:
-        _fail(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
+    if kind.startswith("q-"):
+        build, show = carlitz_q_stirling, poly_coeff_list
+    elif kind.startswith("cigl-"):
+        from .cigl import PARTITION_CAP, cigl_q_stirling_table
+        if n > PARTITION_CAP:
+            _fail(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
+        build, show = cigl_q_stirling_table, poly_coeff_list
+    else:
+        build, show = classical_stirling_table, str
     triangle = kind.endswith("stirling")
     records, rows = [], []
     try:
         # Every kind builds its tower once and reads its triangle or its row sums.
-        if kind.startswith("q-"):
-            tower, show = carlitz_q_stirling(n), poly_coeff_list
-        elif kind.startswith("cigl-"):
-            tower, show = cigl_q_stirling_table(n), poly_coeff_list
-        else:
-            tower, show = classical_stirling_table(n), str
+        tower = build(n)
         read = (lambda m, k: tower.entry(m, k)) if triangle else (lambda m: bell_via_sum(tower, m))
         for m in range(n + 1):
             for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
@@ -144,9 +145,10 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
     """Run one identity suite up to n-max and report per-case verdicts."""
+    from .identities import RUNNERS
     seq = parse_sequence(seq_text)
     try:
-        cases = _IDENTITY_RUNNERS[identity](seq, n_max)
+        cases = RUNNERS[identity](seq, n_max)
     except UmbralDobError as exc:
         _fail(str(exc))
     records, rows = [], []
@@ -170,6 +172,7 @@ def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
     """Print certified pmf bounds for the generalized Poisson distribution."""
+    from .dobinski import PsiPoissonDistribution
     seq = parse_sequence(seq_text)
     try:
         lam = Fraction(lam_text)
@@ -199,6 +202,8 @@ def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_oracle(n: int, fmt: str) -> None:
     """Cross-check the Bell numbers along every independent route up to n."""
+    from .cigl import PARTITION_CAP
+    from .identities import bell_oracle
     if n > PARTITION_CAP:
         _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
     try:

@@ -20,9 +20,8 @@ of exp_psi.  No function here takes a per-call summation setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import NonConvergentError
 from .exact_core import CertifiedValue, Poly, certified_sum
@@ -87,8 +86,7 @@ def _normalized_sums(seq: PsiSequence, lam, series) -> list[CertifiedValue]:
     return [(total(pos) - total(neg)).div_by_positive(normalizer) for pos, neg in series]
 
 
-@dataclass(frozen=True)
-class PsiPoissonDistribution:
+class PsiPoissonDistribution(NamedTuple):
     """Poisson-type distribution p_k = lam**k / (factorial(k) * exp_psi(lam)).
 
     The normalizer interval is computed once at construction and reused by
@@ -218,8 +216,7 @@ def jackson_derivative(coefficients: tuple, q) -> tuple:
     return tuple(coeffs)
 
 
-@dataclass(frozen=True)
-class GeneratingFunctionCheck:
+class GeneratingFunctionCheck(NamedTuple):
     """Verdicts of the generating-function route; mean_ok is None when skipped."""
 
     coefficient_ok: bool

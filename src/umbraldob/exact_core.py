@@ -10,7 +10,6 @@ by the verification routines is decidable.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
@@ -153,18 +152,50 @@ class Poly:
         return f"Poly({self.coeffs!r}, var={self.var!r})"
 
 
-@dataclass(frozen=True)
-class CertifiedValue:
+class Record:
+    """Base of the immutable value types, whose fields a subclass names in __slots__.
+
+    __init__ takes the public fields in order and sets each once, with _init.  Equality,
+    hash, repr, copy and pickle read them, and not the working state named _like_this.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _items(self) -> tuple:
+        return tuple((name, getattr(self, name)) for name in self.__slots__ if name[0] != "_")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return self._items() == other._items() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._items())
+
+    def __reduce__(self):
+        return type(self), tuple(value for _, value in self._items())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={value!r}' for name, value in self._items())})"
+
+
+class CertifiedValue(Record):
     """A closed rational interval [lo, hi] guaranteed to contain a real value."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval: {self.lo} > {self.hi}")
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if lo > hi:
+            raise ValueError(f"empty interval: {lo} > {hi}")
+        self._init(lo=lo, hi=hi)
 
     @property
     def width(self) -> Fraction:

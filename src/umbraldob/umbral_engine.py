@@ -16,12 +16,11 @@ each caller builds the tower it reads and holds it.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import OutOfRangeError
-from .exact_core import Poly
+from .exact_core import Poly, Record
 
 CLASSICAL = "classical"
 GAUSS_Q = "gauss-q"
@@ -29,44 +28,32 @@ FIBONACCI = "fibonacci"
 CUSTOM = "custom"
 
 
-@dataclass(frozen=True)
-class PsiSequence:
+class PsiSequence(Record):
     """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
 
-    Prefixes of values and factorials belong to the instance and grow under
-    its lock, so threads sharing a sequence get single-thread results.
+    Its value is (kind, q, values, label).  Its prefixes of values and factorials
+    grow under its lock, so threads sharing a sequence get single-thread results.
     """
 
-    kind: str
-    q: Fraction | None = None
-    values: tuple[Fraction, ...] | None = None
-    label: str = ""
+    __slots__ = ("kind", "q", "values", "label", "_prefix", "_factorials", "_lock")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_prefix", [Fraction(0)])
-        object.__setattr__(self, "_factorials", [Fraction(1)])
-        object.__setattr__(self, "_lock", threading.RLock())
-        if self.kind == GAUSS_Q:
-            q = Fraction(self.q)
+    def __init__(self, kind: str, q=None, values: Iterable | None = None, label: str = ""):
+        if kind == GAUSS_Q:
+            q = Fraction(q)
             if q <= 0:
                 raise ValueError("gauss-q sequences need q > 0")
-            object.__setattr__(self, "q", q)
-            if not self.label:
-                object.__setattr__(self, "label", f"q={q}")
-        elif self.kind == CUSTOM:
-            vals = tuple(Fraction(v) for v in self.values or ())
-            if not vals or vals[0] != 0 or any(v <= 0 for v in vals[1:]):
-                raise ValueError(
-                    "custom sequences must start at 0 and stay positive afterwards"
-                )
-            object.__setattr__(self, "values", vals)
-            if not self.label:
-                object.__setattr__(self, "label", "custom")
-        elif self.kind in (CLASSICAL, FIBONACCI):
-            if not self.label:
-                object.__setattr__(self, "label", self.kind)
+            label = label or f"q={q}"
+        elif kind == CUSTOM:
+            values = tuple(Fraction(v) for v in values or ())
+            if not values or values[0] != 0 or any(v <= 0 for v in values[1:]):
+                raise ValueError("custom sequences must start at 0 and stay positive afterwards")
+            label = label or "custom"
+        elif kind in (CLASSICAL, FIBONACCI):
+            label = label or kind
         else:
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
+            raise ValueError(f"unknown sequence kind {kind!r}")
+        self._init(kind=kind, q=q, values=values, label=label)
+        self._init(_prefix=[Fraction(0)], _factorials=[Fraction(1)], _lock=threading.RLock())
 
     @classmethod
     def classical(cls) -> "PsiSequence":
@@ -149,23 +136,22 @@ def gauss_number(n: int, q) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class StirlingTable:
+class StirlingTable(Record):
     """Triangular array of Stirling entries, rows 0..n_max.
 
     The entries are ints for the classical triangle and polynomials for the
     q-towers; every entry of one table lies in the same ring.
     """
 
-    n_max: int
-    rows: tuple[tuple[int | Poly, ...], ...]
+    __slots__ = ("n_max", "rows")
 
-    def __post_init__(self):
-        if len(self.rows) != self.n_max + 1:
+    def __init__(self, n_max: int, rows: tuple[tuple[int | Poly, ...], ...]):
+        if len(rows) != n_max + 1:
             raise ValueError("row count must be n_max + 1")
-        for n, row in enumerate(self.rows):
+        for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
+        self._init(n_max=n_max, rows=rows)
 
     def entry(self, n: int, k: int) -> int | Poly:
         if not 0 <= n <= self.n_max:

@@ -1,10 +1,14 @@
 """End-to-end command line checks through click's test runner."""
 
+import ast
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -16,6 +20,20 @@ from umbraldob.exact_core import CertifiedValue
 from umbraldob.identities import Case
 
 runner = CliRunner()
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the CLI as `python -m umbraldob.cli ARGS` does, then prints the modules it loaded.
+LOADED_BY = """
+import runpy, sys
+before = set(sys.modules)
+sys.argv = ["umbraldob", *sys.argv[1:]]
+try:
+    runpy.run_module("umbraldob.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+print(sorted(set(sys.modules) - before), file=sys.stderr)
+"""
 
 
 def invoke(*args):
@@ -131,7 +149,7 @@ class TestVerifySuites:
         def broken(seq, n_max):
             return [Case({"identity": "conjugation", "max_degree": n_max}, False)]
 
-        monkeypatch.setitem(cli_module._IDENTITY_RUNNERS, "conjugation", broken)
+        monkeypatch.setitem(identities.RUNNERS, "conjugation", broken)
         result = invoke("verify", "--identity", "conjugation", "--n-max", "3")
         assert result.exit_code == 1
         assert "fail" in result.output
@@ -147,6 +165,11 @@ class TestVerifySuites:
             "2",
         )
         assert result.exit_code == 0, result.stderr
+
+
+def test_identity_choices_match_registry():
+    # The order is part of the output: a usage error lists the choices.
+    assert cli_module.IDENTITIES == tuple(identities.RUNNERS)
 
 
 class TestDist:
@@ -314,3 +337,31 @@ class TestSummationCapPlumbing:
         monkeypatch.setenv("UMBRALDOB_SUM_CAP", "500")
         result = invoke("verify", "--identity", "dobinski", "--n-max", "6")
         assert result.exit_code == 0
+
+
+def loaded_modules(*args) -> set[str]:
+    """The modules a fresh interpreter loads to run the CLI with args."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_BY, *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stderr.splitlines()[-1]))
+
+
+class TestStartup:
+    def test_noop_table_loads_only_its_modules(self):
+        loaded = loaded_modules("table", "--kind", "bell", "--n", "0")
+        assert {name for name in loaded if name.startswith("umbraldob")} == {
+            "umbraldob",
+            "umbraldob.errors",
+            "umbraldob.exact_core",
+            "umbraldob.umbral_engine",
+        }
+        assert "dataclasses" not in loaded
+        assert "json" not in loaded
+
+    def test_cigl_table_loads_no_series_or_identity_code(self):
+        loaded = loaded_modules("table", "--kind", "cigl-q-bell", "--n", "3")
+        assert "umbraldob.cigl" in loaded
+        assert not {"umbraldob.dobinski", "umbraldob.identities", "umbraldob.operator_calc"} & loaded

@@ -334,6 +334,13 @@ class TestGeneratingFunction:
         assert check == GeneratingFunctionCheck(True, True)
         assert check.passed
 
+    def test_passed_reads_none_as_skipped(self):
+        assert GeneratingFunctionCheck(True, None).passed
+        assert GeneratingFunctionCheck(True, True).passed
+        assert not GeneratingFunctionCheck(True, False).passed
+        assert not GeneratingFunctionCheck(False, None).passed
+        assert not GeneratingFunctionCheck(False, True).passed
+
     def test_gauss_half_at_one(self):
         check = verify_pmf_via_generating_function(HALF, 1, 3, 10)
         assert check.coefficient_ok and check.mean_ok

@@ -1,5 +1,7 @@
 """Polynomial ring laws, interval plumbing, and the certified summation kernel."""
 
+import copy
+import pickle
 from fractions import Fraction
 from math import factorial
 
@@ -79,6 +81,30 @@ class TestCertifiedValue:
     def test_order_enforced(self):
         with pytest.raises(ValueError):
             CertifiedValue(Fraction(2), Fraction(1))
+
+    def test_coerces_endpoints_to_fractions(self):
+        cv = CertifiedValue(1, Fraction(3, 2))
+        assert type(cv.lo) is Fraction and type(cv.hi) is Fraction
+        assert cv.lo == 1
+
+    def test_immutable(self):
+        cv = CertifiedValue(0, 1)
+        with pytest.raises(AttributeError):
+            cv.lo = Fraction(1, 2)
+        with pytest.raises(AttributeError):
+            cv.hi = Fraction(2)
+        assert (cv.lo, cv.hi) == (0, 1)
+
+    def test_equal_and_hashed_by_value(self):
+        a, b = CertifiedValue(1, Fraction(3, 2)), CertifiedValue(Fraction(2, 2), Fraction(6, 4))
+        assert a == b and hash(a) == hash(b)
+        assert a != CertifiedValue(1, 2)
+        assert len({a, b, CertifiedValue(1, 2)}) == 2
+
+    def test_copies_and_pickles(self):
+        cv = CertifiedValue(Fraction(1, 3), 2)
+        for copied in (copy.copy(cv), copy.deepcopy(cv), pickle.loads(pickle.dumps(cv))):
+            assert copied == cv and type(copied.lo) is Fraction
 
     def test_contains_and_width(self):
         cv = CertifiedValue(Fraction(1, 3), Fraction(1, 2))

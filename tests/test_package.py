@@ -1,0 +1,69 @@
+"""The package's lazy exports: every public name, loaded from its module on first access."""
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import umbraldob
+
+ROOT = Path(__file__).resolve().parents[1]
+
+EXPORTS = [
+    "CapExceededError", "CertifiedValue", "DEFAULT_SUM_CAP", "GeneratingFunctionCheck", "NegativeTermError",
+    "NonConvergentError", "OutOfRangeError", "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence",
+    "SUM_CAP_ENV", "StirlingTable", "UmbralDobError", "apply_number_operator", "bell_via_sum",
+    "carlitz_q_stirling", "certified_sum", "cigl_q_bell", "cigl_q_dobinski_exact", "cigl_q_power",
+    "cigl_q_stirling", "cigl_q_stirling_table", "classical_stirling_table", "default_ratio_threshold",
+    "dobinski_bell", "dobinski_specialization", "enumerate_partitions", "exponential_polynomial", "gauss_number",
+    "generating_function_checks", "jackson_derivative", "moment_functional", "partition_counts",
+    "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic", "q_number_symbolic", "recurrence_table",
+    "rota_bell_exact", "stirling2", "verify_conjugation", "verify_falling_moment",
+    "verify_pmf_via_generating_function",
+]
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_export_list():
+    assert sorted(umbraldob.__all__) == EXPORTS
+
+
+@pytest.mark.parametrize("name", EXPORTS)
+def test_each_name_is_its_module_attribute(name):
+    module = importlib.import_module(f"umbraldob.{umbraldob._EXPORTS[name]}")
+    value = getattr(umbraldob, name)
+    assert value is getattr(module, name)
+    assert getattr(value, "__module__", module.__name__) == module.__name__  # the defining module
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        getattr(umbraldob, "nope")
+    with pytest.raises(ImportError):
+        exec("from umbraldob import nope", {})
+
+
+def test_import_loads_no_submodule():
+    result = run_python(
+        "import sys; before = set(sys.modules); import umbraldob; "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['umbraldob']"
+
+
+def test_readme_library_sketch_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert "from umbraldob import (" in sketch
+    result = run_python(sketch)
+    assert result.returncode == 0, result.stderr

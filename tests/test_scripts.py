@@ -60,8 +60,11 @@ def test_tiny_sum_cap_is_exit_two():
     assert "Traceback" not in result.stderr
 
 
-def test_depth_past_partition_cap_is_exit_two():
+def test_depth_past_partition_cap_runs_every_suite():
     result = run_sweep("--n-max", "14")
-    assert result.returncode == 2, result.stdout + result.stderr
-    assert "error: partition enumeration is capped at n=13, got n=14" in result.stderr
-    assert "Traceback" not in result.stderr
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "0 failure(s)" in result.stdout
+    for header in ("cigl-dobinski (n <= 13)", "conjugation (n <= 14)", "pmf-gf (n <= 14)", "q1-reduction (n <= 14)"):
+        assert header + "\n  [ok ] " in result.stdout
+    assert "enumeration: brute-force count vs exact routes (n <= 13)" in result.stdout
+    assert "  [ok ] restricted growth strings\n" in result.stdout

@@ -1,5 +1,6 @@
 """Psi-sequences, the Stirling towers, and the expansion diagnostic."""
 
+import pickle
 import sys
 import threading
 from math import gcd, prod
@@ -15,6 +16,7 @@ from umbraldob.errors import OutOfRangeError
 from umbraldob.exact_core import Poly
 from umbraldob.umbral_engine import (
     PsiSequence,
+    StirlingTable,
     bell_via_sum,
     carlitz_q_stirling,
     classical_stirling_table,
@@ -110,6 +112,29 @@ class TestPsiSequence:
         with pytest.raises(ValueError):
             PsiSequence.gauss_q(Fraction(-1, 2))
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            PsiSequence("lucas")
+
+    def test_equal_and_hashed_by_kind_q_values_label(self):
+        half = PsiSequence.gauss_q(Fraction(2, 4))
+        half.factorial(12)  # the grown prefixes are not part of the value
+        assert half == HALF and hash(half) == hash(HALF)
+        assert half.q == Fraction(1, 2) and half.label == "q=1/2"
+        assert PsiSequence("gauss-q", q=Fraction(1, 2), label="half") != HALF
+        assert PsiSequence.gauss_q(1) != CLASSICAL  # same values, different kind
+        assert PsiSequence.custom([0, 1, 2]) == PsiSequence.custom([0, Fraction(1), 2])
+        assert PsiSequence.custom([0, 1, 2]) != PsiSequence.custom([0, 1, 3])
+        assert PsiSequence.custom([0, 1, 2], label="t") != PsiSequence.custom([0, 1, 2])
+        assert len({CLASSICAL, PsiSequence.classical(), FIB, HALF, half}) == 3
+
+    def test_immutable(self):
+        seq = PsiSequence.gauss_q(Fraction(1, 3))
+        for name, value in (("kind", "classical"), ("q", Fraction(1, 2)), ("values", (0, 1)), ("label", "x")):
+            with pytest.raises(AttributeError):
+                setattr(seq, name, value)
+        assert (seq.kind, seq.q, seq.values, seq.label) == ("gauss-q", Fraction(1, 3), None, "q=1/3")
+
     def test_gauss_q_one_matches_classical(self):
         one = PsiSequence.gauss_q(1)
         assert [one.value(n) for n in range(10)] == [CLASSICAL.value(n) for n in range(10)]
@@ -201,6 +226,24 @@ class TestCarlitzTable:
             t.entry(4, 0)
         with pytest.raises(ValueError):
             t.entry(2, 3)
+
+
+class TestStirlingTable:
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            StirlingTable(2, ((1,), (0, 1)))  # one row short
+        with pytest.raises(ValueError):
+            StirlingTable(0, ((1,), (0, 1)))  # one row too many
+        with pytest.raises(ValueError):
+            StirlingTable(1, ((1,), (0,)))  # a short row
+
+    def test_value_type(self):
+        t = StirlingTable(1, ((1,), (0, 1)))
+        assert t == classical_stirling_table(1) and hash(t) == hash(classical_stirling_table(1))
+        assert t != classical_stirling_table(2)
+        with pytest.raises(AttributeError):
+            t.n_max = 2
+        assert pickle.loads(pickle.dumps(t)) == t
 
 
 class TestBellViaSum:
