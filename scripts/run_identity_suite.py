@@ -6,16 +6,15 @@ in the identity registry in one go, the sequence-dependent ones once per
 built-in sequence, and prints one verdict line per suite and sequence, with
 the widest certified interval where the suite reads its verdicts from
 intervals.  A sequence the suite has no reference route for is reported as
-skipped.  cigl-dobinski, and the Bell oracle of `umbraldob oracle` that runs
-unless --skip-enumeration is given, stop at min(n_max, PARTITION_CAP).  The
-oracle's one brute-force walk counts the restricted growth strings of every
-length, and each count must equal the Stirling row sum and the umbral
-operator value and lie in the Dobinski interval.  Exits 1 if a verdict
-failed, and 2 with a message on stderr if a cap or convergence limit
-stopped the sweep.
+skipped.  cigl-dobinski, and the Bell oracle of `umbraldob oracle` that
+follows the suites, stop at min(n_max, PARTITION_CAP).  The oracle's one
+brute-force walk counts the restricted growth strings of every length, and
+each count must equal the Stirling row sum and the umbral operator value
+and lie in the Dobinski interval.  Exits 1 if a verdict failed, and 2 with
+a message on stderr if a cap or convergence limit stopped the sweep.
 
     python3 scripts/run_identity_suite.py --n-max 8
-    python3 scripts/run_identity_suite.py --n-max 10 --skip-enumeration
+    python3 scripts/run_identity_suite.py --n-max 10
 """
 
 import argparse
@@ -38,7 +37,7 @@ SEQUENCES = [
 ]
 
 
-def run(n_max: int, skip_enumeration: bool) -> int:
+def run(n_max: int) -> int:
     verdicts = []
     t0 = time.perf_counter()
 
@@ -60,10 +59,9 @@ def run(n_max: int, skip_enumeration: bool) -> int:
             widths = [case.interval.width for case in cases if case.interval is not None]
             report(label, all(case.ok for case in cases), f"max width {max(widths)}" if widths else "")
 
-    if not skip_enumeration:
-        top = min(n_max, PARTITION_CAP)
-        print(f"enumeration: brute-force count vs exact routes (n <= {top})")
-        report("restricted growth strings", all(row.ok for row in bell_oracle(top)))
+    top = min(n_max, PARTITION_CAP)
+    print(f"enumeration: brute-force count vs exact routes (n <= {top})")
+    report("restricted growth strings", all(row.ok for row in bell_oracle(top)))
 
     failures = verdicts.count(False)
     print(f"\n{failures} failure(s) in {time.perf_counter() - t0:.2f}s")
@@ -72,12 +70,8 @@ def run(n_max: int, skip_enumeration: bool) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n-max", type=int, default=8, help="sweep depth (default 8)")
-    parser.add_argument(
-        "--skip-enumeration",
-        action="store_true",
-        help=f"skip the brute-force partition count (one walk over every length up to min(n-max, {PARTITION_CAP}))",
-    )
+    depth_help = f"sweep depth (default 8); cigl-dobinski and the partition count stop at min(n-max, {PARTITION_CAP})"
+    parser.add_argument("--n-max", type=int, default=8, help=depth_help)
     args = parser.parse_args()
     if args.n_max < 0:
         parser.error("--n-max must be non-negative")
@@ -86,7 +80,7 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
     try:
-        return run(args.n_max, args.skip_enumeration)
+        return run(args.n_max)
     except UmbralDobError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

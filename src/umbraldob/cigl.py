@@ -133,8 +133,7 @@ def cigl_q_power(n: int) -> Poly:
         raise ValueError("n must be non-negative")
     out = Poly((Poly.constant(1),), var="x")
     for i in range(n):
-        offset = Poly((-1,) + (0,) * (i - 1) + (1,)) if i >= 1 else Poly(())
-        out = out * Poly((offset, Poly.constant(1)), var="x")
+        out = out * Poly((Poly.monomial(1, i) - 1, Poly.constant(1)), var="x")
     return out
 
 
@@ -146,5 +145,4 @@ def cigl_q_dobinski_exact(n: int) -> Poly:
     result must coincide with cigl_q_bell(n) as an exact polynomial.
     """
     from .dobinski import poisson_moment_exact  # here, so that the cigl tables load no series code
-    res = poisson_moment_exact(cigl_q_power(n))
-    return res if isinstance(res, Poly) else Poly((res,))
+    return poisson_moment_exact(cigl_q_power(n))

@@ -68,22 +68,14 @@ def psi_exp(seq: PsiSequence, lam) -> CertifiedValue:
     return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
 
 
-def _normalized_sums(seq: PsiSequence, lam, series) -> list[CertifiedValue]:
-    """Certified exp_psi(lam)**-1 * sum_k (pos(k) - neg(k)) per pair of term functions (pos, neg) in series.
+def _normalized_sums(seq: PsiSequence, lam, rows: Iterable[Callable[[int], Fraction]]) -> list[CertifiedValue]:
+    """Certified exp_psi(lam)**-1 * sum_k row(k) for each term function row in rows.
 
-    pos and neg (None for zero) give non-negative terms, each summed as its
-    own series as certified_sum requires; exp_psi(lam) is summed once for all.
-    The pairs are drawn one at a time, each after the pair before is summed.
+    Each row gives non-negative terms, as certified_sum requires; exp_psi(lam) is summed
+    once for all.  The rows are drawn one at a time, each after the row before is summed.
     """
-    thr = default_ratio_threshold(seq, lam)
-    normalizer = psi_exp(seq, lam)
-
-    def total(term) -> CertifiedValue:
-        if term is None:
-            return CertifiedValue(Fraction(0), Fraction(0))
-        return certified_sum(term, thr)
-
-    return [(total(pos) - total(neg)).div_by_positive(normalizer) for pos, neg in series]
+    thr, normalizer = default_ratio_threshold(seq, lam), psi_exp(seq, lam)
+    return [certified_sum(row, thr).div_by_positive(normalizer) for row in rows]
 
 
 class PsiPoissonDistribution(NamedTuple):
@@ -115,15 +107,17 @@ def moment_functional(seq: PsiSequence, lam, p: Poly) -> CertifiedValue:
 
     Computes exp_psi(lam)**-1 * sum_k p(psi(k)) * lam**k / factorial(k).
     Mixed-sign polynomials are split by monomial sign into two non-negative
-    series whose intervals are subtracted.
+    series whose intervals are subtracted before the one division by exp_psi(lam).
     """
-    lam = Fraction(lam)
+    thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
 
-    def terms(sign: int):
+    def total(sign: int) -> CertifiedValue:
         part = Poly(tuple(max(sign * c, 0) for c in p.coeffs), p.var)
-        return (lambda k: part.evaluate(seq.value(k)) * lam**k / seq.factorial(k)) if part else None
+        if not part:
+            return CertifiedValue(0, 0)
+        return certified_sum(lambda k: part.evaluate(seq.value(k)) * lam**k / seq.factorial(k), thr)
 
-    return _normalized_sums(seq, lam, [(terms(1), terms(-1))])[0]
+    return (total(1) - total(-1)).div_by_positive(psi_exp(seq, lam))
 
 
 def _rows(seq: PsiSequence, ns: Iterable[int], power: bool) -> Iterator[Callable[[int], Fraction]]:
@@ -153,7 +147,7 @@ def _rows(seq: PsiSequence, ns: Iterable[int], power: bool) -> Iterator[Callable
 
 def falling_moments(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """verify_falling_moment for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, 1, ((row, None) for row in _rows(seq, ns, power=False)))
+    return _normalized_sums(seq, 1, _rows(seq, ns, power=False))
 
 
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -170,7 +164,7 @@ def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
 
 def dobinski_bells(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """dobinski_bell for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, 1, ((row, None) for row in _rows(seq, ns, power=True)))
+    return _normalized_sums(seq, 1, _rows(seq, ns, power=True))
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -261,7 +255,7 @@ def generating_function_checks(
     coeffs = [lam**k / seq.factorial(k) for k in range(order + 1)]
     mean_ok = None
     if lam == 1:
-        mean_ok = _normalized_sums(seq, lam, [(lambda k: gauss_number(k, qv) / seq.factorial(k), None)])[0].contains(1)
+        mean_ok = _normalized_sums(seq, lam, [lambda k: gauss_number(k, qv) / seq.factorial(k)])[0].contains(1)
     series, q_factorial, checks = tuple(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:

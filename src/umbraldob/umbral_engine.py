@@ -31,8 +31,10 @@ CUSTOM = "custom"
 class PsiSequence(Record):
     """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
 
-    Its value is (kind, q, values, label).  Its prefixes of values and factorials
-    grow under its lock, so threads sharing a sequence get single-thread results.
+    Its value is (kind, q, values, label).  Every psi(n) is read from one prefix, which
+    a custom table fills at construction and the other kinds grow from psi(0) = 0.  The
+    prefixes of values and factorials grow under its lock, so threads sharing a sequence
+    get single-thread results.
     """
 
     __slots__ = ("kind", "q", "values", "label", "_prefix", "_factorials", "_lock")
@@ -53,7 +55,8 @@ class PsiSequence(Record):
         else:
             raise ValueError(f"unknown sequence kind {kind!r}")
         self._init(kind=kind, q=q, values=values, label=label)
-        self._init(_prefix=[Fraction(0)], _factorials=[Fraction(1)], _lock=threading.RLock())
+        prefix = list(values) if kind == CUSTOM else [Fraction(0)]
+        self._init(_prefix=prefix, _factorials=[Fraction(1)], _lock=threading.RLock())
 
     @classmethod
     def classical(cls) -> "PsiSequence":
@@ -61,7 +64,7 @@ class PsiSequence(Record):
 
     @classmethod
     def gauss_q(cls, q) -> "PsiSequence":
-        return cls(GAUSS_Q, q=Fraction(q))
+        return cls(GAUSS_Q, q=q)
 
     @classmethod
     def fibonacci(cls) -> "PsiSequence":
@@ -69,22 +72,18 @@ class PsiSequence(Record):
 
     @classmethod
     def custom(cls, values: Iterable, label: str = "") -> "PsiSequence":
-        return cls(CUSTOM, values=tuple(Fraction(v) for v in values), label=label)
+        return cls(CUSTOM, values=values, label=label)
 
     def value(self, n: int) -> Fraction:
         """psi(n); OutOfRangeError past the end of a custom table."""
         if n < 0:
             raise ValueError("sequence index must be non-negative")
-        if self.kind == CUSTOM:
-            if n >= len(self.values):
-                raise OutOfRangeError(
-                    f"custom sequence has {len(self.values)} values, index {n} requested"
-                )
-            return self.values[n]
         vals = self._prefix
         with self._lock:
             while len(vals) <= n:
                 k = len(vals)
+                if self.kind == CUSTOM:
+                    raise OutOfRangeError(f"custom sequence has {k} values, index {n} requested")
                 if self.kind == CLASSICAL:
                     vals.append(Fraction(k))
                 elif self.kind == FIBONACCI:
@@ -100,7 +99,6 @@ class PsiSequence(Record):
         fac = self._factorials
         with self._lock:
             while len(fac) <= n:
-                # through value(), which also reads custom tables
                 fac.append(fac[-1] * self.value(len(fac)))
         return fac[n]
 
@@ -110,11 +108,11 @@ class PsiSequence(Record):
             raise ValueError("falling factorial needs non-negative arguments")
         if k == 0:
             return Fraction(1)
-        self.value(x)  # grows the prefix through x, or checks the custom table
+        self.value(x)  # grows the prefix through x, or raises past a custom table
         if k > x:
             return Fraction(0)
         num = den = 1  # one reduction at the end instead of one per factor
-        for v in (self.values if self.kind == CUSTOM else self._prefix)[x - k + 1 : x + 1]:
+        for v in self._prefix[x - k + 1 : x + 1]:
             num, den = num * v.numerator, den * v.denominator
         return Fraction(num, den)
 

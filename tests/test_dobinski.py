@@ -25,7 +25,7 @@ from umbraldob.dobinski import (
     verify_pmf_via_generating_function,
 )
 from umbraldob.errors import NonConvergentError
-from umbraldob.exact_core import Poly
+from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.identities import RUNNERS
 from umbraldob.umbral_engine import PsiSequence, gauss_number
 
@@ -182,6 +182,26 @@ class TestMomentFunctional:
     def test_domain_check(self):
         with pytest.raises(NonConvergentError):
             moment_functional(HALF, 2, Poly((0, 1), "x"))
+
+    @pytest.mark.parametrize("seq", [CLASSICAL, HALF, THREE_HALVES, FIB], ids=lambda seq: seq.label)
+    def test_power_moment_equals_dobinski_bell(self, seq):
+        # the same series, summed by the sign split and by the row sweep: equal endpoints, not overlap
+        for n in range(9):
+            assert moment_functional(seq, 1, Poly.monomial(1, n, var="x")) == dobinski_bell(seq, n)
+
+    @pytest.mark.parametrize(
+        "seq, lam, coeffs, lo, hi",
+        [
+            (CLASSICAL, 1, (0, -1, 1), Fraction(1, 2), Fraction(23, 12)),
+            (HALF, Fraction(1, 2), (1, -2, 0, 3), Fraction(121, 112), Fraction(6071, 1008)),
+            (FIB, 2, (0, -1, 1), Fraction(872, 237), Fraction(1144, 205)),
+        ],
+        ids=["classical", "q=1/2", "fibonacci"],
+    )
+    def test_mixed_sign_endpoints(self, seq, lam, coeffs, lo, hi):
+        # positive part minus negative part, then one division by exp_psi(lam); dividing each
+        # part before the subtraction moves these exact endpoints
+        assert moment_functional(seq, lam, Poly(coeffs, "x")) == CertifiedValue(lo, hi)
 
 
 class TestFallingMoment:

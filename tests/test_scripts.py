@@ -25,7 +25,7 @@ def run_sweep(*flags, **env_extra):
 
 
 def test_identity_suite_sweep_exits_zero():
-    result = run_sweep("--skip-enumeration")
+    result = run_sweep()
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 failure(s)" in result.stdout
     assert "[ -- ] fibonacci  (skipped)" in result.stdout
@@ -33,11 +33,18 @@ def test_identity_suite_sweep_exits_zero():
 
 def test_bad_cap_is_a_usage_error():
     # exit 1 means a failed verdict; an unusable setting is exit 2 with a message
-    result = run_sweep("--skip-enumeration", UMBRALDOB_SUM_CAP="abc")
+    result = run_sweep(UMBRALDOB_SUM_CAP="abc")
     assert result.returncode == 2, result.stdout + result.stderr
     assert "UMBRALDOB_SUM_CAP must be a positive integer" in result.stderr
     assert "Traceback" not in result.stderr
     assert result.stdout == ""
+
+
+def test_negative_depth_is_a_usage_error():
+    result = run_sweep("--n-max", "-1")
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "--n-max" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_enumeration_line_agrees():

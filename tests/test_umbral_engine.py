@@ -99,6 +99,10 @@ class TestPsiSequence:
             seq.value(4)
         with pytest.raises(OutOfRangeError):
             seq.falling(5, 7)  # past the table even where the product would be 0
+        with pytest.raises(OutOfRangeError) as exc:
+            seq.factorial(4)
+        assert str(exc.value) == "custom sequence has 4 values, index 4 requested"
+        assert seq.value(3) == 2  # a failed read leaves the table as it was
 
     def test_admissibility_rejected(self):
         with pytest.raises(ValueError):
@@ -321,10 +325,12 @@ def race(fn, workers=4):
 class TestThreadSafety:
     def test_fresh_sequence_factorial(self):
         for trial in range(10):
-            # a q no other test uses, so every trial starts from empty prefixes
+            # a q no other test uses, so every trial starts from empty prefixes; the custom
+            # table of the same 41 values starts with every value and no factorial past 0
             q = Fraction(1000 + trial, 997)
-            seq = PsiSequence.gauss_q(q)
-            assert race(lambda: seq.factorial(40)) == [prod(gauss_number(k, q) for k in range(1, 41))] * 4
+            values = [gauss_number(k, q) for k in range(41)]
+            for seq in (PsiSequence.gauss_q(q), PsiSequence.custom(values)):
+                assert race(lambda: seq.factorial(40)) == [prod(values[1:])] * 4
 
     def test_stirling_rows(self):
         # No table is shared between calls, so racing threads each build their own tower.
