@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from umbraldob.cigl import PARTITION_CAP
 from umbraldob.errors import UmbralDobError, UnsupportedSequenceError
-from umbraldob.exact_core import summation_cap
 from umbraldob.identities import PER_SEQUENCE, RUNNERS, bell_oracle
 from umbraldob.umbral_engine import PsiSequence
 
@@ -75,10 +74,6 @@ def main() -> int:
     args = parser.parse_args()
     if args.n_max < 0:
         parser.error("--n-max must be non-negative")
-    try:
-        summation_cap()
-    except ValueError as exc:
-        parser.error(str(exc))
     try:
         return run(args.n_max)
     except UmbralDobError as exc:

@@ -19,7 +19,7 @@ _EXPORTS = {  # public name -> the module that defines it
             " rota_bell_exact verify_falling_moment verify_pmf_via_generating_function"
         ),
         "errors": "CapExceededError NegativeTermError NonConvergentError OutOfRangeError UmbralDobError",
-        "exact_core": "DEFAULT_SUM_CAP SUM_CAP_ENV CertifiedValue Poly certified_sum",
+        "exact_core": "SUM_CAP CertifiedValue Poly certified_sum",
         "operator_calc": "apply_number_operator dobinski_specialization exponential_polynomial verify_conjugation",
         "umbral_engine": (
             "PsiSequence StirlingTable bell_via_sum carlitz_q_stirling classical_stirling_table gauss_number"

@@ -28,7 +28,7 @@ import click
 
 # Every command runs these; each imports the rest of what it runs in its own body, to keep start-up short.
 from .errors import UmbralDobError
-from .exact_core import CertifiedValue, Poly, summation_cap
+from .exact_core import CertifiedValue, Poly
 from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
@@ -99,10 +99,6 @@ def main() -> None:
     """Exact Bell/Stirling towers and certified Dobinski-type verification."""
     # Exact values print in full however many digits they have.
     sys.set_int_max_str_digits(0)
-    try:
-        summation_cap()
-    except ValueError as exc:
-        _fail(str(exc))
 
 
 @main.command("table")

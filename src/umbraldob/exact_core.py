@@ -9,7 +9,6 @@ by the verification routines is decidable.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from typing import Callable, Iterable, Union
 
@@ -17,23 +16,8 @@ from .errors import NegativeTermError, NonConvergentError
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_SUM_CAP = 10_000
-SUM_CAP_ENV = "UMBRALDOB_SUM_CAP"
+SUM_CAP = 10_000  # no series term past this index is ever read
 MONOTONE_WINDOW = 8
-
-
-def summation_cap() -> int:
-    """Hard cap on series truncation indices; UMBRALDOB_SUM_CAP overrides it."""
-    raw = os.environ.get(SUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise ValueError(f"{SUM_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
 
 
 class Poly:
@@ -240,13 +224,13 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
     suite cross-checks every interval against independent routes.
 
     Raises NegativeTermError on a negative term and NonConvergentError when
-    no truncation point qualifies below summation_cap() (default 10000,
-    overridable via UMBRALDOB_SUM_CAP).
+    no truncation point qualifies without reading a term past index SUM_CAP,
+    the window included.
     """
     thr = Fraction(ratio_threshold)
     if not 0 < thr < 1:
         raise ValueError("ratio_threshold must lie strictly between 0 and 1")
-    cap = summation_cap()
+    cap = SUM_CAP
 
     terms: list[Fraction] = []
 
@@ -276,10 +260,10 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
         return c.numerator * a.numerator * b.denominator**2 > b.numerator**2 * c.denominator * a.denominator
 
     tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
-    for k in range(support, cap + 1):
+    for k in range(support, cap - MONOTONE_WINDOW):
         if above_threshold(k):
             continue
-        t(k + 1 + MONOTONE_WINDOW)  # the window reads this far before it decides
+        t(k + 1 + MONOTONE_WINDOW)  # the window reads this far before it decides, at most index cap
         if not any(ratio_rises(j) for j in range(k, k + MONOTONE_WINDOW)):
             partial = sum(terms[: k + 1], Fraction(0))
             return CertifiedValue(partial, partial + tail_factor * t(k + 1))

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from umbraldob import cli as cli_module
+from umbraldob import exact_core
 from umbraldob import identities
 from umbraldob.cli import main
 from umbraldob.exact_core import CertifiedValue
@@ -320,21 +321,21 @@ class TestBadInput:
 
 
 class TestSummationCapPlumbing:
-    def test_small_cap_turns_into_exit_two(self, monkeypatch):
-        monkeypatch.setenv("UMBRALDOB_SUM_CAP", "3")
-        result = invoke("verify", "--identity", "dobinski", "--n-max", "6")
+    @pytest.mark.parametrize(
+        "args",
+        [("verify", "--identity", "dobinski", "--n-max", "6"), ("dist", "--k-max", "2"), ("oracle", "--n", "3")],
+        ids=" ".join,
+    )
+    def test_small_cap_turns_into_exit_two(self, monkeypatch, args):
+        # dist's series truncates at K = 1, but only once its window has read index 10
+        monkeypatch.setattr(exact_core, "SUM_CAP", 3)
+        result = invoke(*args)
         assert result.exit_code == 2
-        assert "cap" in result.stderr
-
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_bad_cap_exits_two(self, monkeypatch, raw):
-        monkeypatch.setenv("UMBRALDOB_SUM_CAP", raw)
-        result = invoke("verify", "--identity", "dobinski", "--n-max", "2")
-        assert result.exit_code == 2
-        assert "UMBRALDOB_SUM_CAP" in result.stderr
+        assert result.stdout == ""
+        assert result.stderr == "error: no certified truncation point within hard cap 3\n"
 
     def test_generous_cap_unchanged(self, monkeypatch):
-        monkeypatch.setenv("UMBRALDOB_SUM_CAP", "500")
+        monkeypatch.setattr(exact_core, "SUM_CAP", 500)
         result = invoke("verify", "--identity", "dobinski", "--n-max", "6")
         assert result.exit_code == 0
 

@@ -41,14 +41,13 @@ def test_every_source_shows_a_command(found):
 
 @pytest.mark.parametrize("command", sorted({c for cs in CLI_COMMANDS.values() for c in cs}))
 def test_cli_command_runs(command):
-    result = CliRunner().invoke(cli.main, shlex.split(command)[1:], env={"UMBRALDOB_SUM_CAP": None})
+    result = CliRunner().invoke(cli.main, shlex.split(command)[1:])
     assert result.exit_code == 0, result.output
 
 
 @pytest.mark.parametrize("command", sorted({c for cs in SCRIPT_COMMANDS.values() for c in cs}))
 def test_script_command_runs(command):
     env = dict(os.environ)
-    env.pop("UMBRALDOB_SUM_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, *shlex.split(command)[1:]], cwd=ROOT, capture_output=True, text=True, env=env, timeout=120

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import division_certified_sum, partial_sum
+from umbraldob import exact_core
 from umbraldob.errors import NegativeTermError, NonConvergentError
 from umbraldob.exact_core import CertifiedValue, Poly, certified_sum
 
@@ -164,7 +165,7 @@ class TestCertifiedSum:
             certified_sum(lambda k: Fraction(-1) if k == 3 else Fraction(1, factorial(k)), Fraction(1, 2))
 
     def test_divergent_series_hits_cap(self, monkeypatch):
-        monkeypatch.setenv("UMBRALDOB_SUM_CAP", "200")
+        monkeypatch.setattr(exact_core, "SUM_CAP", 200)
         with pytest.raises(NonConvergentError):
             certified_sum(lambda k: Fraction(1), Fraction(1, 2))
 
@@ -174,13 +175,28 @@ class TestCertifiedSum:
         with pytest.raises(ValueError):
             certified_sum(lambda k: Fraction(0), Fraction(0))
 
-    def test_env_cap_override(self, monkeypatch):
-        monkeypatch.setenv("UMBRALDOB_SUM_CAP", "3")
-        with pytest.raises(NonConvergentError):
-            certified_sum(lambda k: Fraction(1), Fraction(1, 2))
-        monkeypatch.setenv("UMBRALDOB_SUM_CAP", "0")
-        with pytest.raises(ValueError):
-            certified_sum(lambda k: Fraction(1, factorial(k)), Fraction(1, 2))
+    def test_no_term_past_the_cap(self, monkeypatch):
+        monkeypatch.setattr(exact_core, "SUM_CAP", 3)
+        asked = []
+
+        def term(k):
+            asked.append(k)
+            return Fraction(1)
+
+        with pytest.raises(NonConvergentError, match="within hard cap 3$"):
+            certified_sum(term, Fraction(1, 2))
+        assert max(asked) <= 3
+
+    def test_cap_is_the_last_index_read(self, monkeypatch):
+        # 1/k! at threshold 1/2 truncates at K = 1 once its window has read index 1 + 1 + 8 = 10
+        def series(k):
+            return Fraction(1, factorial(k))
+
+        monkeypatch.setattr(exact_core, "SUM_CAP", 10)
+        assert certified_sum(series, Fraction(1, 2)) == CertifiedValue(Fraction(2), Fraction(3))
+        monkeypatch.setattr(exact_core, "SUM_CAP", 9)
+        with pytest.raises(NonConvergentError, match="within hard cap 9$"):
+            certified_sum(series, Fraction(1, 2))
 
     @pytest.mark.parametrize(
         "term",

@@ -13,6 +13,9 @@ falling-moment and power-moment sweeps, which the CLI prints only as verdicts.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,10 +94,6 @@ CASES = (
         ({}, ("table", "--kind", "cigl-q-bell", "--n", "14")),
         ({}, ("table", "--kind", "cigl-q-stirling", "--n", "20")),
         ({}, ("oracle", "--n", "14")),
-        ({"UMBRALDOB_SUM_CAP": "3"}, ("verify", "--identity", "dobinski", "--n-max", "6")),
-        ({"UMBRALDOB_SUM_CAP": "3"}, ("dist", "--k-max", "2")),
-        ({"UMBRALDOB_SUM_CAP": "3"}, ("oracle", "--n", "3")),
-        ({"UMBRALDOB_SUM_CAP": "500"}, ("verify", "--identity", "dobinski", "--n-max", "6")),
     ]
     + [({}, ("oracle", "--n", "10", "--format", "csv"))]
 )
@@ -146,6 +145,19 @@ def test_output_is_byte_identical(corpus, index):
 def test_sweep_intervals_are_identical(descriptor):
     recorded = json.loads(SWEEPS.read_text(encoding="utf-8"))
     assert sweep_intervals(descriptor) == recorded[descriptor]
+
+
+def test_environment_does_not_change_output(corpus):
+    # no environment variable sets the summation cap or changes what the CLI prints
+    args = ["dist", "--seq", "q=1/2", "--lambda", "1/3", "--k-max", "6", "--format", "pretty"]
+    (expected,) = [record for record in corpus if record["args"] == args]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, UMBRALDOB_SUM_CAP="3", PYTHONINTMAXSTRDIGITS="640")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "umbraldob.cli", *args], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected["stdout"], "")
 
 
 if __name__ == "__main__":

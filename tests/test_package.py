@@ -1,5 +1,6 @@
 """The package's lazy exports: every public name, loaded from its module on first access."""
 
+import ast
 import importlib
 import os
 import re
@@ -14,12 +15,12 @@ import umbraldob
 ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = [
-    "CapExceededError", "CertifiedValue", "DEFAULT_SUM_CAP", "GeneratingFunctionCheck", "NegativeTermError",
-    "NonConvergentError", "OutOfRangeError", "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence",
-    "SUM_CAP_ENV", "StirlingTable", "UmbralDobError", "apply_number_operator", "bell_via_sum",
-    "carlitz_q_stirling", "certified_sum", "cigl_q_bell", "cigl_q_dobinski_exact", "cigl_q_power",
-    "cigl_q_stirling", "cigl_q_stirling_table", "classical_stirling_table", "default_ratio_threshold",
-    "dobinski_bell", "dobinski_specialization", "enumerate_partitions", "exponential_polynomial", "gauss_number",
+    "CapExceededError", "CertifiedValue", "GeneratingFunctionCheck", "NegativeTermError", "NonConvergentError",
+    "OutOfRangeError", "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence", "SUM_CAP",
+    "StirlingTable", "UmbralDobError", "apply_number_operator", "bell_via_sum", "carlitz_q_stirling",
+    "certified_sum", "cigl_q_bell", "cigl_q_dobinski_exact", "cigl_q_power", "cigl_q_stirling",
+    "cigl_q_stirling_table", "classical_stirling_table", "default_ratio_threshold", "dobinski_bell",
+    "dobinski_specialization", "enumerate_partitions", "exponential_polynomial", "gauss_number",
     "generating_function_checks", "jackson_derivative", "moment_functional", "partition_counts",
     "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic", "q_number_symbolic", "recurrence_table",
     "rota_bell_exact", "stirling2", "verify_conjugation", "verify_falling_moment",
@@ -67,3 +68,15 @@ def test_readme_library_sketch_runs():
     assert "from umbraldob import (" in sketch
     result = run_python(sketch)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("module", ["exact_core", "umbral_engine", "dobinski", "cigl", "identities", "operator_calc"])
+def test_no_environment_below_the_cli(module):
+    # a verdict depends only on its arguments; only the CLI may read settings
+    nodes = list(ast.walk(ast.parse((ROOT / "src" / "umbraldob" / f"{module}.py").read_text(encoding="utf-8"))))
+    imported = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    calls = [node.func for node in nodes if isinstance(node, ast.Call)]
+    called = {getattr(func, "attr", getattr(func, "id", None)) for func in calls}
+    assert not {name for name in imported if name.split(".")[0] == "os"}
+    assert "getenv" not in called

@@ -1,22 +1,23 @@
 """Smoke tests for the identity sweep script, which runs the identity registry."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+from umbraldob import exact_core
 from umbraldob.cigl import PARTITION_CAP
 
 ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = str(ROOT / "scripts" / "run_identity_suite.py")
 
 
-def run_sweep(*flags, **env_extra):
+def run_sweep(*flags):
     env = dict(os.environ)
-    env.pop("UMBRALDOB_SUM_CAP", None)
-    env.update(env_extra)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_identity_suite.py"), "--n-max", "4", *flags],
+        [sys.executable, SCRIPT, "--n-max", "4", *flags],
         capture_output=True,
         text=True,
         env=env,
@@ -29,15 +30,6 @@ def test_identity_suite_sweep_exits_zero():
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 failure(s)" in result.stdout
     assert "[ -- ] fibonacci  (skipped)" in result.stdout
-
-
-def test_bad_cap_is_a_usage_error():
-    # exit 1 means a failed verdict; an unusable setting is exit 2 with a message
-    result = run_sweep(UMBRALDOB_SUM_CAP="abc")
-    assert result.returncode == 2, result.stdout + result.stderr
-    assert "UMBRALDOB_SUM_CAP must be a positive integer" in result.stderr
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
 
 
 def test_negative_depth_is_a_usage_error():
@@ -60,11 +52,11 @@ def test_help_names_the_enumeration_cap():
     assert f"min(n-max, {PARTITION_CAP})" in " ".join(result.stdout.split())
 
 
-def test_tiny_sum_cap_is_exit_two():
-    result = run_sweep("--n-max", "3", UMBRALDOB_SUM_CAP="3")
-    assert result.returncode == 2, result.stdout + result.stderr
-    assert "error: no certified truncation point within hard cap 3" in result.stderr
-    assert "Traceback" not in result.stderr
+def test_tiny_sum_cap_is_exit_two(monkeypatch, capsys):
+    monkeypatch.setattr(exact_core, "SUM_CAP", 3)
+    monkeypatch.setattr(sys, "argv", [SCRIPT, "--n-max", "3"])
+    assert runpy.run_path(SCRIPT)["main"]() == 2
+    assert "error: no certified truncation point within hard cap 3" in capsys.readouterr().err
 
 
 def test_depth_past_partition_cap_runs_every_suite():
