@@ -10,7 +10,7 @@ _EXPORTS = {  # public name -> the module that defines it
     name: module
     for module, names in {
         "cigl": (
-            "PARTITION_CAP cigl_q_bell cigl_q_dobinski_exact cigl_q_power cigl_q_stirling"
+            "PARTITION_CAP cigl_q_bell cigl_q_dobinski_exact cigl_q_power"
             " cigl_q_stirling_table enumerate_partitions partition_counts"
         ),
         "dobinski": (
@@ -22,7 +22,7 @@ _EXPORTS = {  # public name -> the module that defines it
         "exact_core": "SUM_CAP CertifiedValue Poly certified_sum",
         "operator_calc": "apply_number_operator dobinski_specialization exponential_polynomial verify_conjugation",
         "umbral_engine": (
-            "PsiSequence StirlingTable bell_via_sum carlitz_q_stirling classical_stirling_table gauss_number"
+            "PsiSequence StirlingTable bell_via_sum carlitz_q_stirling classical_stirling_table"
             " psi_stirling_diagnostic q_number_symbolic recurrence_table stirling2"
         ),
     }.items()

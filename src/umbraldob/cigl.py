@@ -108,16 +108,6 @@ def cigl_q_stirling_table(n_max: int) -> StirlingTable:
     return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n) + (k - 1), Poly((1,)))
 
 
-def cigl_q_stirling(n: int, k: int) -> Poly:
-    """Sum of q**statistic over the k-block partitions of an n-set."""
-    _check_cap(n)
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    if k > n:
-        return Poly(())
-    return cigl_q_stirling_table(n).entry(n, k)
-
-
 def cigl_q_bell(n: int) -> Poly:
     """Sum of q**statistic over all partitions of an n-set."""
     return bell_via_sum(cigl_q_stirling_table(n), n)
@@ -131,9 +121,9 @@ def cigl_q_power(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = Poly((Poly.constant(1),), var="x")
+    out = Poly((Poly((1,)),), var="x")
     for i in range(n):
-        out = out * Poly((Poly.monomial(1, i) - 1, Poly.constant(1)), var="x")
+        out = out * Poly((Poly.monomial(1, i) - 1, Poly((1,))), var="x")
     return out
 
 

@@ -94,7 +94,17 @@ def _pretty(label: str, params: dict, value: str) -> str:
     return f"{label} {where}: {value}"
 
 
-@click.group()
+class _Group(click.Group):
+    """Every command computes before it prints, so a domain error from any of them exits 2 with no output."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except UmbralDobError as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact Bell/Stirling towers and certified Dobinski-type verification."""
     # Exact values print in full however many digits they have.
@@ -118,19 +128,16 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
         build, show = classical_stirling_table, str
     triangle = kind.endswith("stirling")
     records, rows = [], []
-    try:
-        # Every kind builds its tower once and reads its triangle or its row sums.
-        tower = build(n)
-        read = (lambda m, k: tower.entry(m, k)) if triangle else (lambda m: bell_via_sum(tower, m))
-        for m in range(n + 1):
-            for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
-                value = show(read(*params.values()))
-                records.append({"kind": kind, "parameters": params, "value": value})
-                cell = value if isinstance(value, str) else ";".join(value)
-                front = ",".join(str(v) for v in params.values())
-                rows.append((f"{front},{cell}", _pretty(kind, params, cell)))
-    except UmbralDobError as exc:
-        _fail(str(exc))
+    # Every kind builds its tower once and reads its triangle or its row sums.
+    tower = build(n)
+    read = (lambda m, k: tower.entry(m, k)) if triangle else (lambda m: bell_via_sum(tower, m))
+    for m in range(n + 1):
+        for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
+            value = show(read(*params.values()))
+            records.append({"kind": kind, "parameters": params, "value": value})
+            cell = value if isinstance(value, str) else ";".join(value)
+            front = ",".join(str(v) for v in params.values())
+            rows.append((f"{front},{cell}", _pretty(kind, params, cell)))
     _emit(fmt, "n,k,value" if triangle else "n,value", records, rows)
 
 
@@ -143,10 +150,7 @@ def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
     """Run one identity suite up to n-max and report per-case verdicts."""
     from .identities import RUNNERS
     seq = parse_sequence(seq_text)
-    try:
-        cases = RUNNERS[identity](seq, n_max)
-    except UmbralDobError as exc:
-        _fail(str(exc))
+    cases = RUNNERS[identity](seq, n_max)
     records, rows = [], []
     for case in cases:
         p, verdict = case.params, "pass" if case.ok else "fail"
@@ -176,11 +180,8 @@ def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
         _fail(f"unusable rational {lam_text!r} for --lambda")
     if lam <= 0:
         _fail("--lambda must be positive")
-    try:
-        dist = PsiPoissonDistribution.create(seq, lam)
-        bounds = [dist.pmf(k) for k in range(k_max + 1)]
-    except UmbralDobError as exc:
-        _fail(str(exc))
+    dist = PsiPoissonDistribution.create(seq, lam)
+    bounds = [dist.pmf(k) for k in range(k_max + 1)]
     base = {"seq": seq.label, "lambda": frac_text(lam)}
     records, rows = [], []
     for k, (lo, hi) in enumerate(bounds):
@@ -202,10 +203,7 @@ def cmd_oracle(n: int, fmt: str) -> None:
     from .identities import bell_oracle
     if n > PARTITION_CAP:
         _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
-    try:
-        oracle = bell_oracle(n)
-    except UmbralDobError as exc:
-        _fail(str(exc))
+    oracle = bell_oracle(n)
     records, rows = [], []
     for m, count, rota, operator, series, ok in oracle:
         op = str(operator.numerator) if operator.denominator == 1 else frac_text(operator)

@@ -31,7 +31,7 @@ from .umbral_engine import (
     PsiSequence,
     bell_via_sum,
     classical_stirling_table,
-    gauss_number,
+    q_number_symbolic,
 )
 
 
@@ -68,13 +68,13 @@ def psi_exp(seq: PsiSequence, lam) -> CertifiedValue:
     return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
 
 
-def _normalized_sums(seq: PsiSequence, lam, rows: Iterable[Callable[[int], Fraction]]) -> list[CertifiedValue]:
-    """Certified exp_psi(lam)**-1 * sum_k row(k) for each term function row in rows.
+def _normalized_sums(seq: PsiSequence, rows: Iterable[Callable[[int], Fraction]]) -> list[CertifiedValue]:
+    """Certified exp_psi(1)**-1 * sum_k row(k) for each term function row in rows, at lam = 1.
 
-    Each row gives non-negative terms, as certified_sum requires; exp_psi(lam) is summed
+    Each row gives non-negative terms, as certified_sum requires; exp_psi(1) is summed
     once for all.  The rows are drawn one at a time, each after the row before is summed.
     """
-    thr, normalizer = default_ratio_threshold(seq, lam), psi_exp(seq, lam)
+    thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
     return [certified_sum(row, thr).div_by_positive(normalizer) for row in rows]
 
 
@@ -147,7 +147,7 @@ def _rows(seq: PsiSequence, ns: Iterable[int], power: bool) -> Iterator[Callable
 
 def falling_moments(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """verify_falling_moment for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, 1, _rows(seq, ns, power=False))
+    return _normalized_sums(seq, _rows(seq, ns, power=False))
 
 
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -164,7 +164,7 @@ def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
 
 def dobinski_bells(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """dobinski_bell for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, 1, _rows(seq, ns, power=True))
+    return _normalized_sums(seq, _rows(seq, ns, power=True))
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -216,10 +216,6 @@ class GeneratingFunctionCheck(NamedTuple):
     coefficient_ok: bool
     mean_ok: bool | None
 
-    @property
-    def passed(self) -> bool:
-        return self.coefficient_ok and self.mean_ok is not False
-
 
 def generating_function_checks(
     seq: PsiSequence, lam, n_max: int, order: int
@@ -255,12 +251,12 @@ def generating_function_checks(
     coeffs = [lam**k / seq.factorial(k) for k in range(order + 1)]
     mean_ok = None
     if lam == 1:
-        mean_ok = _normalized_sums(seq, lam, [lambda k: gauss_number(k, qv) / seq.factorial(k)])[0].contains(1)
+        mean_ok = _normalized_sums(seq, [lambda k: q_number_symbolic(k).evaluate(qv) / seq.factorial(k)])[0].contains(1)
     series, q_factorial, checks = tuple(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:
             series = jackson_derivative(series, qv)
-            q_factorial *= gauss_number(n, qv)
+            q_factorial *= q_number_symbolic(n).evaluate(qv)
         checks.append(GeneratingFunctionCheck(series[0] / q_factorial == coeffs[n], mean_ok))
     return checks
 

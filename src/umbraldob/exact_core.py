@@ -39,10 +39,6 @@ class Poly:
         self.var = var
 
     @classmethod
-    def constant(cls, c, var: str = "q") -> "Poly":
-        return cls((c,), var)
-
-    @classmethod
     def monomial(cls, c, k: int, var: str = "q") -> "Poly":
         return cls((0,) * k + (c,), var)
 

@@ -115,7 +115,8 @@ def bell_oracle(n_max: int) -> list[BellRoutes]:
     """B(0..n_max) by partition enumeration, Stirling row sum, umbral operator and Dobinski series.
 
     A row passes when the count and the operator value equal the row sum and
-    the series interval contains it.  Each route is built once for every n.
+    the series interval contains it.  The counts, the table and the series are
+    built once for all n; the operator runs afresh from the constant 1 for each n.
     """
     counts, table = partition_counts(n_max), classical_stirling_table(n_max)
     intervals = dobinski_bells(PsiSequence.classical(), range(n_max + 1))

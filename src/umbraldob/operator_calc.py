@@ -14,11 +14,6 @@ from fractions import Fraction
 from .exact_core import Poly
 
 
-def x_poly(coeffs) -> Poly:
-    """Convenience constructor for polynomials in x with exact coefficients."""
-    return Poly(tuple(coeffs), var="x")
-
-
 def apply_number_operator(p: Poly) -> Poly:
     """The conjugated number operator acting on a polynomial: x * (p' + p)."""
     return (p.derivative() + p).shift(1)
@@ -28,7 +23,7 @@ def exponential_polynomial(n: int) -> Poly:
     """n-fold application of the number operator to the constant 1."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    p = x_poly((1,))
+    p = Poly((1,), var="x")
     for _ in range(n):
         p = apply_number_operator(p)
     return p

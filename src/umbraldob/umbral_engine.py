@@ -124,16 +124,6 @@ def q_number_symbolic(n: int) -> Poly:
     return Poly((1,) * n)
 
 
-def gauss_number(n: int, q) -> Fraction:
-    """Numeric q-bracket at a rational q."""
-    q = Fraction(q)
-    acc, p = Fraction(0), Fraction(1)
-    for _ in range(n):
-        acc += p
-        p *= q
-    return acc
-
-
 class StirlingTable(Record):
     """Triangular array of Stirling entries, rows 0..n_max.
 

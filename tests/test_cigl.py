@@ -11,7 +11,7 @@ from umbraldob.cigl import (
     cigl_q_bell,
     cigl_q_dobinski_exact,
     cigl_q_power,
-    cigl_q_stirling,
+    cigl_q_stirling_table,
     enumerate_partitions,
     partition_counts,
 )
@@ -95,9 +95,8 @@ class TestWeightedCount:
         assert cigl_q_bell(1) == Poly((1,))
         assert cigl_q_bell(2) == Poly((1, 1))
         assert cigl_q_bell(3) == Poly((2, 1, 1, 1))
-        assert cigl_q_stirling(3, 2) == Poly((1, 1, 1))
-        assert cigl_q_stirling(3, 1) == Poly((0, 0, 0, 1))
-        assert cigl_q_stirling(4, 5) == Poly(())
+        assert cigl_q_stirling_table(3).entry(3, 2) == Poly((1, 1, 1))
+        assert cigl_q_stirling_table(3).entry(3, 1) == Poly((0, 0, 0, 1))
 
     @pytest.mark.parametrize("n", range(9))
     def test_counting_matches_enumeration(self, n):
@@ -106,6 +105,7 @@ class TestWeightedCount:
             k = (max(rgs) + 1) if rgs else 0
             s = zero_block_sum(rgs)
             by_blocks[k][s] = by_blocks[k].get(s, 0) + 1
+        table = cigl_q_stirling_table(n)
         for k in range(n + 1):
             want = Poly(
                 tuple(
@@ -113,7 +113,7 @@ class TestWeightedCount:
                     for s in range(max(by_blocks[k], default=-1) + 1)
                 )
             )
-            assert cigl_q_stirling(n, k) == want
+            assert table.entry(n, k) == want
 
     @pytest.mark.parametrize("n", range(9))
     def test_statistic_oracle_is_consistent(self, n):
@@ -126,16 +126,17 @@ class TestWeightedCount:
 
     def test_block_polynomials_sum_to_total(self):
         for n in range(10):
-            acc = Poly(())
+            acc, table = Poly(()), cigl_q_stirling_table(n)
             for k in range(n + 1):
-                acc = acc + cigl_q_stirling(n, k)
+                acc = acc + table.entry(n, k)
             assert acc == cigl_q_bell(n)
 
     @pytest.mark.parametrize("n", range(11))
     def test_reduces_to_classical_at_one(self, n):
         assert cigl_q_bell(n).evaluate(Fraction(1)) == naive_bell(n)
+        table = cigl_q_stirling_table(n)
         for k in range(n + 1):
-            assert cigl_q_stirling(n, k).evaluate(Fraction(1)) == naive_stirling2(n, k)
+            assert table.entry(n, k).evaluate(Fraction(1)) == naive_stirling2(n, k)
 
     def test_leading_term(self):
         # the statistic is maximal when everything joins the block of 0
@@ -153,9 +154,9 @@ class TestWeightedCount:
     def test_entry_checks_n_before_k(self, k):
         # an empty column (k > n) must not hide an invalid or capped row
         with pytest.raises(CapExceededError):
-            cigl_q_stirling(PARTITION_CAP + 1, k)
+            cigl_q_stirling_table(PARTITION_CAP + 1).entry(PARTITION_CAP + 1, k)
         with pytest.raises(ValueError):
-            cigl_q_stirling(-1, k)
+            cigl_q_stirling_table(-1).entry(-1, k)
 
 
 class TestQPowerProduct:

@@ -14,9 +14,11 @@ import pytest
 from click.testing import CliRunner
 
 from umbraldob import cli as cli_module
+from umbraldob import dobinski
 from umbraldob import exact_core
 from umbraldob import identities
 from umbraldob.cli import main
+from umbraldob.errors import NonConvergentError
 from umbraldob.exact_core import CertifiedValue
 from umbraldob.identities import Case
 
@@ -338,6 +340,33 @@ class TestSummationCapPlumbing:
         monkeypatch.setattr(exact_core, "SUM_CAP", 500)
         result = invoke("verify", "--identity", "dobinski", "--n-max", "6")
         assert result.exit_code == 0
+
+
+def boom(*args):
+    raise NonConvergentError("boom")
+
+
+class TestDomainErrorBoundary:
+    @pytest.mark.parametrize(
+        "args, owner, name",
+        [
+            (("table", "--kind", "q-bell", "--n", "3"), cli_module, "carlitz_q_stirling"),
+            (("verify", "--identity", "conjugation"), identities.RUNNERS, "conjugation"),
+            (("dist", "--k-max", "2"), dobinski, "psi_exp"),
+            (("oracle", "--n", "3"), identities, "bell_oracle"),
+        ],
+        ids=["table", "verify", "dist", "oracle"],
+    )
+    def test_route_error_exits_two_with_no_output(self, monkeypatch, args, owner, name):
+        # the command group turns a domain error from any command's route into exit 2
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, name, boom)
+        else:
+            monkeypatch.setattr(owner, name, boom)
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: boom\n"
 
 
 def loaded_modules(*args) -> set[str]:

@@ -27,7 +27,7 @@ from umbraldob.dobinski import (
 from umbraldob.errors import NonConvergentError
 from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.identities import RUNNERS
-from umbraldob.umbral_engine import PsiSequence, gauss_number
+from umbraldob.umbral_engine import PsiSequence, q_number_symbolic
 
 CLASSICAL = PsiSequence.classical()
 FIB = PsiSequence.fibonacci()
@@ -161,7 +161,7 @@ class TestMomentFunctional:
             assert got.contains(naive_bell(n))
 
     def test_constant(self):
-        got = moment_functional(FIB, 1, Poly.constant(3, var="x"))
+        got = moment_functional(FIB, 1, Poly((3,), var="x"))
         assert got.contains(3)
 
     def test_mixed_sign_polynomial(self):
@@ -336,7 +336,7 @@ class TestJacksonDerivative:
     @settings(max_examples=50, deadline=None)
     def test_bracket_at_every_degree(self, coeffs, q):
         got = jackson_derivative(tuple(coeffs), q)
-        assert got == tuple(coeffs[n] * gauss_number(n, q) for n in range(1, len(coeffs)))
+        assert got == tuple(coeffs[n] * q_number_symbolic(n).evaluate(q) for n in range(1, len(coeffs)))
         assert list(got) == naive_q_difference(coeffs, q, 1)
 
     @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=21))
@@ -352,14 +352,6 @@ class TestGeneratingFunction:
     def test_classical(self):
         check = verify_pmf_via_generating_function(CLASSICAL, 1, 3, 10)
         assert check == GeneratingFunctionCheck(True, True)
-        assert check.passed
-
-    def test_passed_reads_none_as_skipped(self):
-        assert GeneratingFunctionCheck(True, None).passed
-        assert GeneratingFunctionCheck(True, True).passed
-        assert not GeneratingFunctionCheck(True, False).passed
-        assert not GeneratingFunctionCheck(False, None).passed
-        assert not GeneratingFunctionCheck(False, True).passed
 
     def test_gauss_half_at_one(self):
         check = verify_pmf_via_generating_function(HALF, 1, 3, 10)
@@ -371,7 +363,6 @@ class TestGeneratingFunction:
         check = verify_pmf_via_generating_function(HALF, 2, 3, 10)
         assert check.coefficient_ok
         assert check.mean_ok is None
-        assert check.passed
 
     def test_mean_skipped_away_from_one(self):
         check = verify_pmf_via_generating_function(CLASSICAL, 2, 2, 8)
@@ -389,7 +380,8 @@ class TestGeneratingFunction:
 
     @pytest.mark.parametrize("n", range(5))
     def test_orders_zero_through_four(self, n):
-        assert verify_pmf_via_generating_function(HALF, 1, n, n + 4).passed
+        check = verify_pmf_via_generating_function(HALF, 1, n, n + 4)
+        assert check.coefficient_ok and check.mean_ok
 
     @pytest.mark.parametrize("seq", [CLASSICAL, HALF, THREE_HALVES], ids=lambda seq: seq.label)
     @pytest.mark.parametrize("lam", [1, 2])
@@ -432,8 +424,8 @@ class TestGeneratingFunction:
             stepped.append(s)
             return s
 
-        assert all(c.passed for c in generating_function_checks(HALF, 1, 6, 10))
+        assert all(c.coefficient_ok and c.mean_ok for c in generating_function_checks(HALF, 1, 6, 10))
         monkeypatch.setattr(dobinski, "jackson_derivative", skip_first_step)
-        assert all(c.passed for c in generating_function_checks(HALF, 1, 6, 10))
+        assert all(c.coefficient_ok and c.mean_ok for c in generating_function_checks(HALF, 1, 6, 10))
         verdicts = [case.ok for case in RUNNERS["pmf-gf"](HALF, 6)]
         assert verdicts == [True] + [False] * 6

@@ -18,13 +18,12 @@ EXPORTS = [
     "CapExceededError", "CertifiedValue", "GeneratingFunctionCheck", "NegativeTermError", "NonConvergentError",
     "OutOfRangeError", "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence", "SUM_CAP",
     "StirlingTable", "UmbralDobError", "apply_number_operator", "bell_via_sum", "carlitz_q_stirling",
-    "certified_sum", "cigl_q_bell", "cigl_q_dobinski_exact", "cigl_q_power", "cigl_q_stirling",
-    "cigl_q_stirling_table", "classical_stirling_table", "default_ratio_threshold", "dobinski_bell",
-    "dobinski_specialization", "enumerate_partitions", "exponential_polynomial", "gauss_number",
-    "generating_function_checks", "jackson_derivative", "moment_functional", "partition_counts",
-    "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic", "q_number_symbolic", "recurrence_table",
-    "rota_bell_exact", "stirling2", "verify_conjugation", "verify_falling_moment",
-    "verify_pmf_via_generating_function",
+    "certified_sum", "cigl_q_bell", "cigl_q_dobinski_exact", "cigl_q_power", "cigl_q_stirling_table",
+    "classical_stirling_table", "default_ratio_threshold", "dobinski_bell", "dobinski_specialization",
+    "enumerate_partitions", "exponential_polynomial", "generating_function_checks", "jackson_derivative",
+    "moment_functional", "partition_counts", "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic",
+    "q_number_symbolic", "recurrence_table", "rota_bell_exact", "stirling2", "verify_conjugation",
+    "verify_falling_moment", "verify_pmf_via_generating_function",
 ]
 
 
@@ -80,3 +79,10 @@ def test_no_environment_below_the_cli(module):
     called = {getattr(func, "attr", getattr(func, "id", None)) for func in calls}
     assert not {name for name in imported if name.split(".")[0] == "os"}
     assert "getenv" not in called
+
+
+def test_one_domain_error_handler_in_the_cli():
+    # the command group catches every command's UmbralDobError; no command has its own handler
+    tree = ast.parse((ROOT / "src" / "umbraldob" / "cli.py").read_text(encoding="utf-8"))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(node.type) for node in handlers].count("UmbralDobError") == 1
