@@ -8,8 +8,9 @@ as explicit numerator/denominator strings and polynomials as coefficient
 lists, lowest degree first, so that output parses back without loss.
 
 Exit status: 0 when everything passed, 1 when a verification verdict
-failed, 2 on unusable input (parse failures, inadmissible sequences, cap or
-convergence violations).
+failed, 2 on unusable input (usage errors, parse failures, inadmissible
+sequences, cap or convergence violations).  ``main`` parses each command's
+options, given as ``--opt value`` or ``--opt=value``, from ``COMMANDS``.
 
 Example::
 
@@ -21,10 +22,9 @@ Example::
 
 from __future__ import annotations
 
+import os
 import sys
 from fractions import Fraction
-
-import click
 
 # Every command runs these; each imports the rest of what it runs in its own body, to keep start-up short.
 from .errors import UmbralDobError
@@ -40,7 +40,7 @@ _JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
 
 
 def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -75,18 +75,18 @@ def parse_sequence(descriptor: str) -> PsiSequence:
             return PsiSequence.custom(Fraction(s) for s in parts)
         raise ValueError(f"unrecognized sequence {descriptor!r}")
     except (ValueError, ZeroDivisionError) as exc:
-        _fail(str(exc) or f"unusable sequence {descriptor!r}")
+        _fail(str(exc) if isinstance(exc, ValueError) else f"zero denominator in sequence {descriptor!r}")
 
 
 def _emit(fmt: str, csv_header: str, records: list[dict], rows: list[tuple[str, str]]) -> None:
     """Print the records as one JSON array, or each row's csv or pretty line."""
     if fmt == "json":
         import json
-        click.echo(json.dumps(records, **_JSON_KW))
+        print(json.dumps(records, **_JSON_KW))
         return
     lines = [csv_header, *(csv for csv, _ in rows)] if fmt == "csv" else [pretty for _, pretty in rows]
     for line in lines:
-        click.echo(line)
+        print(line)
 
 
 def _pretty(label: str, params: dict, value: str) -> str:
@@ -94,27 +94,6 @@ def _pretty(label: str, params: dict, value: str) -> str:
     return f"{label} {where}: {value}"
 
 
-class _Group(click.Group):
-    """Every command computes before it prints, so a domain error from any of them exits 2 with no output."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except UmbralDobError as exc:
-            _fail(str(exc))
-
-
-@click.group(cls=_Group)
-def main() -> None:
-    """Exact Bell/Stirling towers and certified Dobinski-type verification."""
-    # Exact values print in full however many digits they have.
-    sys.set_int_max_str_digits(0)
-
-
-@main.command("table")
-@click.option("--kind", type=click.Choice(TABLE_KINDS), required=True)
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_table(kind: str, n: int, fmt: str) -> None:
     """Print a Stirling triangle or Bell sequence up to n."""
     if kind.startswith("q-"):
@@ -141,11 +120,6 @@ def cmd_table(kind: str, n: int, fmt: str) -> None:
     _emit(fmt, "n,k,value" if triangle else "n,value", records, rows)
 
 
-@main.command("verify")
-@click.option("--identity", type=click.Choice(IDENTITIES), required=True)
-@click.option("--n-max", type=click.IntRange(min=0), default=8, show_default=True)
-@click.option("--seq", "seq_text", default="classical", show_default=True)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
     """Run one identity suite up to n-max and report per-case verdicts."""
     from .identities import RUNNERS
@@ -165,11 +139,6 @@ def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
         sys.exit(1)
 
 
-@main.command("dist")
-@click.option("--seq", "seq_text", default="classical", show_default=True)
-@click.option("--lambda", "lam_text", default="1", show_default=True)
-@click.option("--k-max", type=click.IntRange(min=0), default=10, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
     """Print certified pmf bounds for the generalized Poisson distribution."""
     from .dobinski import PsiPoissonDistribution
@@ -194,9 +163,6 @@ def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
     _emit(fmt, "k,lo,hi", records, rows)
 
 
-@main.command("oracle")
-@click.option("--n", type=click.IntRange(min=0), required=True)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="pretty")
 def cmd_oracle(n: int, fmt: str) -> None:
     """Cross-check the Bell numbers along every independent route up to n."""
     from .cigl import PARTITION_CAP
@@ -228,5 +194,69 @@ def cmd_oracle(n: int, fmt: str) -> None:
         sys.exit(1)
 
 
+_FORMAT = ("fmt", FORMATS, "pretty")
+_SHAPES = {int: "INTEGER>=0", str: "TEXT"}
+# Each command's function and options.  An option maps to its keyword, its type (a tuple of choices, int for an
+# integer >= 0, or str) and its default; a default of None makes the option required.
+COMMANDS = {
+    "table": (cmd_table, {"--kind": ("kind", TABLE_KINDS, None), "--n": ("n", int, None), "--format": _FORMAT}),
+    "verify": (cmd_verify, {"--identity": ("identity", IDENTITIES, None), "--n-max": ("n_max", int, 8),
+                            "--seq": ("seq_text", str, "classical"), "--format": _FORMAT}),
+    "dist": (cmd_dist, {"--seq": ("seq_text", str, "classical"), "--lambda": ("lam_text", str, "1"),
+                        "--k-max": ("k_max", int, 10), "--format": _FORMAT}),
+    "oracle": (cmd_oracle, {"--n": ("n", int, None), "--format": _FORMAT}),
+}
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Exact Bell/Stirling towers and certified Dobinski-type verification."""
+    # Exact values print in full however many digits they have.
+    sys.set_int_max_str_digits(0)
+    args = sys.argv[1:] if args is None else list(args)
+    name = args[0] if args else None
+    command, options = COMMANDS.get(name, (main, None))
+    path = f"{prog_name or os.path.basename(sys.argv[0])}{f' {name}' if options else ''}"
+    usage = f"Usage: {path} [OPTIONS]{'' if options else ' COMMAND [ARGS]...'}"
+
+    def bad_usage(message: str) -> None:
+        print(f"{usage}\nTry '{path} --help' for help.\n\nError: {message}", file=sys.stderr)
+        sys.exit(2)
+
+    if "--help" in (args if options else args[:1]):
+        entries = COMMANDS if not options else [
+            f"{opt} {_SHAPES.get(kind) or '|'.join(kind)}  [{'required' if default is None else f'default: {default}'}]"
+            for opt, (_, kind, default) in options.items()]
+        print(f"{usage}\n\n  {command.__doc__}\n\n{'Options' if options else 'Commands'}:", *entries, sep="\n  ")
+        return
+    if not options:
+        bad_usage(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}." if args else "Missing command.")
+    kwargs, rest = {key: default for key, _, default in options.values()}, args[1:]
+    while rest:
+        token = rest.pop(0)
+        opt, eq, value = token.partition("=")
+        if opt not in options:
+            bad_usage(f"No such option {opt!r}." if opt[:1] == "-" else f"Got unexpected extra argument ({token})")
+        if not (eq or rest):
+            bad_usage(f"Option {opt!r} requires an argument.")
+        key, kind, _ = options[opt]
+        value = kwargs[key] = value if eq else rest.pop(0)
+        if kind is int:
+            try:
+                kwargs[key] = int(value)
+            except ValueError:
+                bad_usage(f"Invalid value for {opt!r}: {value!r} is not a valid integer range.")
+            if kwargs[key] < 0:
+                bad_usage(f"Invalid value for {opt!r}: {kwargs[key]} is not in the range x>=0.")
+        elif isinstance(kind, tuple) and value not in kind:
+            bad_usage(f"Invalid value for {opt!r}: {value!r} is not one of {', '.join(map(repr, kind))}.")
+    for opt in [opt for opt, (key, _, _) in options.items() if kwargs[key] is None]:
+        bad_usage(f"Missing option {opt!r}.")
+    # Every command computes before it prints, so a domain error from any of them exits 2 with no output.
+    try:
+        command(**kwargs)
+    except UmbralDobError as exc:
+        _fail(str(exc))
+
+
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m umbraldob.cli")

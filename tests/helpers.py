@@ -1,14 +1,48 @@
-"""Brute-force oracles for the test-suite.
+"""Brute-force oracles and an in-process CLI runner for the test-suite.
 
-Everything here is written directly from definitions (recursive block
-assignment, exact partial sums) and deliberately avoids the package's own
+The oracles are written directly from definitions (recursive block
+assignment, exact partial sums) and deliberately avoid the package's own
 algorithms, so a test comparing the two routes is a real cross-check.
 """
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial, inf
+from types import SimpleNamespace
 
+from umbraldob.cli import main
 from umbraldob.errors import NegativeTermError, NonConvergentError
+
+
+class _Capture(io.StringIO):
+    """One captured stream that also copies each write, in order, to a log shared with the other stream."""
+
+    def __init__(self, log: io.StringIO):
+        super().__init__()
+        self.log = log
+
+    def write(self, text: str) -> int:
+        self.log.write(text)
+        return super().write(text)
+
+
+def invoke(*args: str):
+    """Run the CLI in this process on args; return exit_code, stdout, stderr and output.
+
+    ``output`` is both streams in write order.  The program name is "main",
+    so usage errors read "Usage: main table [OPTIONS]".  Any exception other
+    than SystemExit propagates.
+    """
+    log = io.StringIO()
+    out, err = _Capture(log), _Capture(log)
+    exit_code = 0
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            main(list(args), prog_name="main")
+        except SystemExit as exc:
+            exit_code = 0 if exc.code is None else exc.code
+    return SimpleNamespace(exit_code=exit_code, stdout=out.getvalue(), stderr=err.getvalue(), output=log.getvalue())
 
 
 def naive_partitions(n):

@@ -9,10 +9,9 @@ import json
 import time
 from fractions import Fraction
 
-from click.testing import CliRunner
+from helpers import invoke
 
 from umbraldob.cigl import cigl_q_bell, cigl_q_dobinski_exact, enumerate_partitions
-from umbraldob.cli import main as cli_main
 from umbraldob.dobinski import (
     PsiPoissonDistribution,
     dobinski_bell,
@@ -167,10 +166,8 @@ def test_criterion_7_diagnostic_honesty():
 
 
 def test_criterion_8_cli_contract():
-    runner = CliRunner()
-
     def round_trips(args) -> bool:
-        result = runner.invoke(cli_main, args)
+        result = invoke(*args)
         if result.exit_code != 0:
             return False
         again = json.dumps(json.loads(result.output), indent=2, sort_keys=False, ensure_ascii=False)
@@ -198,8 +195,8 @@ def test_criterion_8_cli_contract():
                 ["oracle", "--n", "4", "--format", "json"],
             )
         )
-        ok = ok and all(runner.invoke(cli_main, args).exit_code == 2 for args in MALFORMED)
-        passing = runner.invoke(cli_main, ["verify", "--identity", "conjugation", "--n-max", "5"])
+        ok = ok and all(invoke(*args).exit_code == 2 for args in MALFORMED)
+        passing = invoke("verify", "--identity", "conjugation", "--n-max", "5")
         return ok and passing.exit_code == 0
 
     _gate(8, "CLI round-trip + exit statuses", None, body)

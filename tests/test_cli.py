@@ -1,4 +1,4 @@
-"""End-to-end command line checks through click's test runner."""
+"""End-to-end command line checks, run in process through helpers.invoke."""
 
 import ast
 import json
@@ -11,20 +11,18 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from helpers import invoke
 
 from umbraldob import cli as cli_module
 from umbraldob import dobinski
 from umbraldob import exact_core
 from umbraldob import identities
-from umbraldob.cli import main
 from umbraldob.errors import NonConvergentError
 from umbraldob.exact_core import CertifiedValue
 from umbraldob.identities import Case
 
-runner = CliRunner()
-
 SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 # Runs the CLI as `python -m umbraldob.cli ARGS` does, then prints the modules it loaded.
 LOADED_BY = """
@@ -37,10 +35,6 @@ except SystemExit as exc:
     assert not exc.code, exc.code
 print(sorted(set(sys.modules) - before), file=sys.stderr)
 """
-
-
-def invoke(*args):
-    return runner.invoke(main, list(args))
 
 
 def records_of(result):
@@ -310,6 +304,7 @@ class TestBadInput:
             ("dist", "--lambda", "abc"),
             ("dist", "--seq", "q=1/2", "--lambda", "2"),
             ("dist", "--seq", "custom:0,1,2", "--k-max", "9"),
+            ("dist", "--seq", "custom:0,1/0"),
             ("oracle", "--n", "14"),
         ],
     )
@@ -320,6 +315,79 @@ class TestBadInput:
     def test_divergent_sequence_message(self):
         result = invoke("dist", "--seq", "q=1/2", "--lambda", "2")
         assert "diverges" in result.stderr
+
+    def test_zero_denominator_names_the_descriptor(self):
+        result = invoke("dist", "--seq", "custom:0,1/0")
+        assert result.exit_code == 2
+        assert result.stderr == "error: zero denominator in sequence 'custom:0,1/0'\n"
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            (("table", "--n", "3"), "Missing option '--kind'."),
+            (
+                ("verify", "--identity", "nope"),
+                "Invalid value for '--identity': 'nope' is not one of 'falling-moment', 'dobinski', "
+                "'cigl-dobinski', 'conjugation', 'pmf-gf', 'q1-reduction'.",
+            ),
+            (("table", "--kind", "bell", "--n", "x"), "Invalid value for '--n': 'x' is not a valid integer range."),
+            (("dist", "--k-max=-2"), "Invalid value for '--k-max': -2 is not in the range x>=0."),
+            (("oracle", "--n", "3", "--bogus", "1"), "No such option '--bogus'."),
+            (("verify", "--identity"), "Option '--identity' requires an argument."),
+            (("table", "--kind", "bell", "--n", "1", "extra"), "Got unexpected extra argument (extra)"),
+            (("tabel", "--kind", "bell"), "No such command 'tabel'."),
+            ((), "Missing command."),
+        ],
+        ids=["missing", "choice", "not-int", "negative", "unknown-option", "no-value", "extra", "command", "none"],
+    )
+    def test_usage_error_exits_two(self, args, error):
+        result = invoke(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("Usage: main ")
+        assert result.stderr.endswith(f"\nError: {error}\n")
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [(("--help",), ["table", "verify", "dist", "oracle"]), (("table", "--help"), ["--kind", "--n", "--format"])],
+    )
+    def test_help_names_everything(self, args, names):
+        result = invoke(*args)
+        assert result.exit_code == 0
+        assert result.stderr == ""
+        assert all(name in result.stdout for name in names)
+
+    @pytest.mark.parametrize(
+        "joined, spaced",
+        [
+            (("--kind=bell", "--n=2"), ("--kind", "bell", "--n", "2")),
+            (("--kind=q-bell", "--n=3", "--format=csv"), ("--kind", "q-bell", "--n", "3", "--format", "csv")),
+        ],
+    )
+    def test_option_equals_value(self, joined, spaced):
+        result = invoke("table", *joined)
+        assert result.exit_code == 0
+        assert result.stdout == invoke("table", *spaced).stdout
+
+    def test_value_may_contain_equals(self):
+        result = invoke("verify", "--identity=pmf-gf", "--seq=q=1/2", "--n-max=2", "--format=csv")
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1:] == ["pmf-gf,q=1/2,0,pass", "pmf-gf,q=1/2,1,pass", "pmf-gf,q=1/2,2,pass"]
+
+    def test_module_run_names_itself(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "umbraldob.cli", "table", "--kind", "bell"],
+            capture_output=True, text=True, env=ENV, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == (
+            "Usage: python -m umbraldob.cli table [OPTIONS]\n"
+            "Try 'python -m umbraldob.cli table --help' for help.\n\n"
+            "Error: Missing option '--n'.\n"
+        )
 
 
 class TestSummationCapPlumbing:
@@ -371,9 +439,8 @@ class TestDomainErrorBoundary:
 
 def loaded_modules(*args) -> set[str]:
     """The modules a fresh interpreter loads to run the CLI with args."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", LOADED_BY, *args], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-c", LOADED_BY, *args], capture_output=True, text=True, env=ENV, timeout=60
     )
     assert result.returncode == 0, result.stderr
     return set(ast.literal_eval(result.stderr.splitlines()[-1]))
@@ -390,6 +457,10 @@ class TestStartup:
         }
         assert "dataclasses" not in loaded
         assert "json" not in loaded
+        assert "click" not in loaded
+
+    def test_verify_loads_no_parser_package(self):
+        assert "click" not in loaded_modules("verify", "--identity", "q1-reduction", "--n-max", "3")
 
     def test_cigl_table_loads_no_series_or_identity_code(self):
         loaded = loaded_modules("table", "--kind", "cigl-q-bell", "--n", "3")

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
+from helpers import invoke
 
 from umbraldob import cli
 
@@ -41,7 +41,7 @@ def test_every_source_shows_a_command(found):
 
 @pytest.mark.parametrize("command", sorted({c for cs in CLI_COMMANDS.values() for c in cs}))
 def test_cli_command_runs(command):
-    result = CliRunner().invoke(cli.main, shlex.split(command)[1:])
+    result = invoke(*shlex.split(command)[1:])
     assert result.exit_code == 0, result.output
 
 

@@ -17,11 +17,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from click.testing import CliRunner
+from helpers import invoke
 
-from umbraldob.cli import main, parse_sequence
+from umbraldob.cli import parse_sequence
 from umbraldob.dobinski import dobinski_bells, falling_moments
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.json"
@@ -103,7 +104,8 @@ SWEEP_N_MAX = 12
 
 
 def run_case(env, args) -> dict:
-    result = CliRunner().invoke(main, list(args), env=env)
+    with mock.patch.dict(os.environ, env):
+        result = invoke(*args)
     return {
         "env": env,
         "args": list(args),
