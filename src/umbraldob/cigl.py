@@ -121,9 +121,9 @@ def cigl_q_power(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = Poly((Poly((1,)),), var="x")
+    out = Poly((Poly((1,)),))
     for i in range(n):
-        out = out * Poly((Poly.monomial(1, i) - 1, Poly((1,))), var="x")
+        out = out * Poly((Poly.monomial(1, i) - 1, Poly((1,))))
     return out
 
 

@@ -112,7 +112,7 @@ def moment_functional(seq: PsiSequence, lam, p: Poly) -> CertifiedValue:
     thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
 
     def total(sign: int) -> CertifiedValue:
-        part = Poly(tuple(max(sign * c, 0) for c in p.coeffs), p.var)
+        part = Poly(tuple(max(sign * c, 0) for c in p.coeffs))
         if not part:
             return CertifiedValue(0, 0)
         return certified_sum(lambda k: part.evaluate(seq.value(k)) * lam**k / seq.factorial(k), thr)
@@ -217,12 +217,10 @@ class GeneratingFunctionCheck(NamedTuple):
     mean_ok: bool | None
 
 
-def generating_function_checks(
-    seq: PsiSequence, lam, n_max: int, order: int
-) -> list[GeneratingFunctionCheck]:
+def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[GeneratingFunctionCheck]:
     """Check the pmf against its generating function G(t) = sum_k p_k t**k, for n = 0..n_max.
 
-    Verdict 1: the n-th q-difference of the truncated series at t = 0,
+    Verdict 1: the n-th q-difference of the series cut after degree n_max, at t = 0,
     divided by the numeric q-factorial of n, must reproduce the k = n series
     coefficient exactly.  The common normalizer of the pmf cancels on both
     sides, so this is an exact equality of rationals and stays meaningful
@@ -244,11 +242,9 @@ def generating_function_checks(
         raise ValueError("lam must be positive")
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    if order < n_max:
-        raise ValueError("order must be at least n")
     qv = Fraction(1) if seq.kind == CLASSICAL else seq.q
 
-    coeffs = [lam**k / seq.factorial(k) for k in range(order + 1)]
+    coeffs = [lam**k / seq.factorial(k) for k in range(n_max + 1)]
     mean_ok = None
     if lam == 1:
         mean_ok = _normalized_sums(seq, [lambda k: q_number_symbolic(k).evaluate(qv) / seq.factorial(k)])[0].contains(1)
@@ -262,5 +258,7 @@ def generating_function_checks(
 
 
 def verify_pmf_via_generating_function(seq: PsiSequence, lam, n: int, order: int) -> GeneratingFunctionCheck:
-    """The verdicts of generating_function_checks for one n."""
-    return generating_function_checks(seq, lam, n, order)[n]
+    """The verdicts of generating_function_checks for one n; order >= n, but no coefficient past n is read."""
+    if order < n:
+        raise ValueError("order must be at least n")
+    return generating_function_checks(seq, lam, n)[n]

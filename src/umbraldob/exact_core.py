@@ -21,26 +21,25 @@ MONOTONE_WINDOW = 8
 
 
 class Poly:
-    """Immutable dense polynomial; coefficient ``i`` multiplies ``var**i``.
+    """Immutable dense polynomial in one variable; coefficient ``i`` multiplies its i-th power.
 
-    Coefficients are exact scalars (int or Fraction) or, for nested use such
-    as powers of x with q-polynomial coefficients, Poly values themselves.
+    Coefficients are exact scalars (int or Fraction) or Poly values, as in
+    cigl_q_power's powers of x with q-polynomial coefficients; no variable is named.
     The zero polynomial stores an empty coefficient tuple; trailing zero
     coefficients are stripped on construction.
     """
 
-    __slots__ = ("coeffs", "var")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = (), var: str = "q"):
+    def __init__(self, coeffs: Iterable = ()):
         cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self.var = var
 
     @classmethod
-    def monomial(cls, c, k: int, var: str = "q") -> "Poly":
-        return cls((0,) * k + (c,), var)
+    def monomial(cls, c, k: int) -> "Poly":
+        return cls((0,) * k + (c,))
 
     @property
     def degree(self) -> int:
@@ -50,16 +49,12 @@ class Poly:
     def coefficient(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def _check_var(self, other: "Poly") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
-            return self.var == other.var and self.coeffs == other.coeffs
+            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
             if not self.coeffs:
                 return other == 0
@@ -67,48 +62,43 @@ class Poly:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.var, self.coeffs))
+        return hash(self.coeffs)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            other = Poly((other,), self.var)
+            other = Poly((other,))
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_var(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
-        return Poly(out, self.var)
+        return Poly(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs), self.var)
+        return Poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other) -> "Poly":
         return self + (-other)
 
-    def __rsub__(self, other) -> "Poly":
-        return (-self) + other
-
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs), self.var)
+            return Poly(tuple(c * other for c in self.coeffs))
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_var(other)
         if not self.coeffs or not other.coeffs:
-            return Poly((), self.var)
+            return Poly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Poly(out, self.var)
+        return Poly(out)
 
     __rmul__ = __mul__
 
@@ -119,17 +109,8 @@ class Poly:
             acc = acc * value + c
         return acc
 
-    def derivative(self) -> "Poly":
-        return Poly([i * self.coeffs[i] for i in range(1, len(self.coeffs))], self.var)
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by var**k."""
-        if not self.coeffs:
-            return self
-        return Poly((0,) * k + self.coeffs, self.var)
-
     def __repr__(self) -> str:
-        return f"Poly({self.coeffs!r}, var={self.var!r})"
+        return f"Poly({self.coeffs!r})"
 
 
 class Record:

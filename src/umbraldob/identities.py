@@ -69,10 +69,10 @@ def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
         raise UnsupportedSequenceError("identity pmf-gf needs a classical or q=<rational> sequence")
     # At lam = 1 every q-difference of e_q(t) is e_q(t) again, so a chain read after the wrong
     # number of steps would still pass; the chain is checked at lam = 2, the mean at lam = 1.
-    mean_ok = generating_function_checks(seq, 1, 0, order=0)[0].mean_ok
+    mean_ok = generating_function_checks(seq, 1, 0)[0].mean_ok
     return [
         Case({"identity": "pmf-gf", "seq": seq.label, "n": n}, check.coefficient_ok and mean_ok)
-        for n, check in enumerate(generating_function_checks(seq, 2, n_max, order=n_max))
+        for n, check in enumerate(generating_function_checks(seq, 2, n_max))
     ]
 
 
