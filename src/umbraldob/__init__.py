@@ -15,7 +15,7 @@ _EXPORTS = {  # public name -> the module that defines it
         ),
         "dobinski": (
             "GeneratingFunctionCheck PsiPoissonDistribution default_ratio_threshold dobinski_bell"
-            " generating_function_checks jackson_derivative moment_functional poisson_moment_exact psi_exp"
+            " generating_function_checks jackson_derivative poisson_moment_exact psi_exp"
             " rota_bell_exact verify_falling_moment verify_pmf_via_generating_function"
         ),
         "errors": "CapExceededError NegativeTermError NonConvergentError OutOfRangeError UmbralDobError",

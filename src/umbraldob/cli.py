@@ -172,7 +172,7 @@ def cmd_oracle(n: int, fmt: str) -> None:
     oracle = bell_oracle(n)
     records, rows = [], []
     for m, count, rota, operator, series, ok in oracle:
-        op = str(operator.numerator) if operator.denominator == 1 else frac_text(operator)
+        op = str(operator)
         lo, hi = interval_pair(series)
         verdict = "pass" if ok else "fail"
         params = {"n": m}

@@ -102,24 +102,6 @@ class PsiPoissonDistribution(NamedTuple):
         return numer / self.normalizer.hi, numer / self.normalizer.lo
 
 
-def moment_functional(seq: PsiSequence, lam, p: Poly) -> CertifiedValue:
-    """Certified interval for the normalized moment of a polynomial.
-
-    Computes exp_psi(lam)**-1 * sum_k p(psi(k)) * lam**k / factorial(k).
-    Mixed-sign polynomials are split by monomial sign into two non-negative
-    series whose intervals are subtracted before the one division by exp_psi(lam).
-    """
-    thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
-
-    def total(sign: int) -> CertifiedValue:
-        part = Poly(tuple(max(sign * c, 0) for c in p.coeffs))
-        if not part:
-            return CertifiedValue(0, 0)
-        return certified_sum(lambda k: part.evaluate(seq.value(k)) * lam**k / seq.factorial(k), thr)
-
-    return (total(1) - total(-1)).div_by_positive(psi_exp(seq, lam))
-
-
 def _rows(seq: PsiSequence, ns: Iterable[int], power: bool) -> Iterator[Callable[[int], Fraction]]:
     """The entries k -> w(k, n) / factorial(k) of row n, for each n in ns in turn.
 

@@ -61,8 +61,8 @@ class Poly:
             return len(self.coeffs) == 1 and self.coeffs[0] == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    def __hash__(self):  # as __eq__: a constant hashes as its scalar, the zero polynomial as 0
+        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -165,19 +165,13 @@ class CertifiedValue(Record):
     def contains(self, x) -> bool:
         return self.lo <= x <= self.hi
 
-    def __add__(self, other: "CertifiedValue") -> "CertifiedValue":
-        return CertifiedValue(self.lo + other.lo, self.hi + other.hi)
-
-    def __sub__(self, other: "CertifiedValue") -> "CertifiedValue":
-        return CertifiedValue(self.lo - other.hi, self.hi - other.lo)
-
     def div_by_positive(self, other: "CertifiedValue") -> "CertifiedValue":
-        """Divide by an interval with other.lo > 0."""
+        """Divide a non-negative interval by one with other.lo > 0."""
         if other.lo <= 0:
             raise ValueError("divisor interval must be strictly positive")
-        lo = self.lo / (other.hi if self.lo >= 0 else other.lo)
-        hi = self.hi / (other.lo if self.hi >= 0 else other.hi)
-        return CertifiedValue(lo, hi)
+        if self.lo < 0:
+            raise ValueError("dividend interval must be non-negative")
+        return CertifiedValue(self.lo / other.hi, self.hi / other.lo)
 
 
 def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> CertifiedValue:

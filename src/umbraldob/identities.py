@@ -12,11 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .cigl import cigl_q_bell, cigl_q_dobinski_exact, partition_counts
-from .dobinski import dobinski_bells, falling_moments, generating_function_checks
+# Each runner imports the cigl, dobinski or operator_calc routes it runs in its body, so verify loads only those.
 from .errors import UnsupportedSequenceError
 from .exact_core import CertifiedValue
-from .operator_calc import dobinski_specialization, verify_conjugation
 from .umbral_engine import CLASSICAL, GAUSS_Q, PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
 
@@ -36,10 +34,12 @@ def _series_cases(identity: str, seq: PsiSequence, intervals: list[CertifiedValu
 
 
 def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
+    from .dobinski import falling_moments
     return _series_cases("falling-moment", seq, falling_moments(seq, range(n_max + 1)), [1] * (n_max + 1))
 
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
+    from .dobinski import dobinski_bells
     if seq.kind == GAUSS_Q:
         table = carlitz_q_stirling(n_max)
         expected = [bell_via_sum(table, n).evaluate(seq.q) for n in range(n_max + 1)]
@@ -54,6 +54,7 @@ def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
 
 
 def cigl_dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
+    from .cigl import cigl_q_bell, cigl_q_dobinski_exact
     return [
         Case({"identity": "cigl-dobinski", "n": n}, cigl_q_dobinski_exact(n) == cigl_q_bell(n))
         for n in range(n_max + 1)
@@ -61,10 +62,12 @@ def cigl_dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
 
 
 def conjugation(seq: PsiSequence, n_max: int) -> list[Case]:
+    from .operator_calc import verify_conjugation
     return [Case({"identity": "conjugation", "max_degree": n_max}, verify_conjugation(n_max))]
 
 
 def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
+    from .dobinski import generating_function_checks
     if seq.kind not in (CLASSICAL, GAUSS_Q):
         raise UnsupportedSequenceError("identity pmf-gf needs a classical or q=<rational> sequence")
     # At lam = 1 every q-difference of e_q(t) is e_q(t) again, so a chain read after the wrong
@@ -118,6 +121,9 @@ def bell_oracle(n_max: int) -> list[BellRoutes]:
     the series interval contains it.  The counts, the table and the series are
     built once for all n; the operator runs afresh from the constant 1 for each n.
     """
+    from .cigl import partition_counts
+    from .dobinski import dobinski_bells
+    from .operator_calc import dobinski_specialization
     counts, table = partition_counts(n_max), classical_stirling_table(n_max)
     intervals = dobinski_bells(PsiSequence.classical(), range(n_max + 1))
     rows = []

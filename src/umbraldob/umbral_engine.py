@@ -31,30 +31,26 @@ CUSTOM = "custom"
 class PsiSequence(Record):
     """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
 
-    Its value is (kind, q, values, label).  Every psi(n) is read from one prefix, which
+    Its value is (kind, q, values).  Every psi(n) is read from one prefix, which
     a custom table fills at construction and the other kinds grow from psi(0) = 0.  The
     prefixes of values and factorials grow under its lock, so threads sharing a sequence
     get single-thread results.
     """
 
-    __slots__ = ("kind", "q", "values", "label", "_prefix", "_factorials", "_lock")
+    __slots__ = ("kind", "q", "values", "_prefix", "_factorials", "_lock")
 
-    def __init__(self, kind: str, q=None, values: Iterable | None = None, label: str = ""):
+    def __init__(self, kind: str, q=None, values: Iterable | None = None):
         if kind == GAUSS_Q:
             q = Fraction(q)
             if q <= 0:
                 raise ValueError("gauss-q sequences need q > 0")
-            label = label or f"q={q}"
         elif kind == CUSTOM:
             values = tuple(Fraction(v) for v in values or ())
             if not values or values[0] != 0 or any(v <= 0 for v in values[1:]):
                 raise ValueError("custom sequences must start at 0 and stay positive afterwards")
-            label = label or "custom"
-        elif kind in (CLASSICAL, FIBONACCI):
-            label = label or kind
-        else:
+        elif kind not in (CLASSICAL, FIBONACCI):
             raise ValueError(f"unknown sequence kind {kind!r}")
-        self._init(kind=kind, q=q, values=values, label=label)
+        self._init(kind=kind, q=q, values=values)
         prefix = list(values) if kind == CUSTOM else [Fraction(0)]
         self._init(_prefix=prefix, _factorials=[Fraction(1)], _lock=threading.RLock())
 
@@ -71,8 +67,13 @@ class PsiSequence(Record):
         return cls(FIBONACCI)
 
     @classmethod
-    def custom(cls, values: Iterable, label: str = "") -> "PsiSequence":
-        return cls(CUSTOM, values=values, label=label)
+    def custom(cls, values: Iterable) -> "PsiSequence":
+        return cls(CUSTOM, values=values)
+
+    @property
+    def label(self) -> str:
+        """The name a record prints: q=<q> for a Gauss sequence, else the kind."""
+        return f"q={self.q}" if self.kind == GAUSS_Q else self.kind
 
     def value(self, n: int) -> Fraction:
         """psi(n); OutOfRangeError past the end of a custom table."""

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from helpers import invoke
 
+from umbraldob import cigl
 from umbraldob import cli as cli_module
 from umbraldob import dobinski
 from umbraldob import exact_core
@@ -233,14 +234,14 @@ class TestOracle:
         assert "fail" in result.output
 
     def test_enumeration_disagreement_exits_one(self, monkeypatch):
-        walk = identities.partition_counts
+        walk = cigl.partition_counts
 
         def one_off(n):
             counts = walk(n)
             counts[2] += 1
             return counts
 
-        monkeypatch.setattr(identities, "partition_counts", one_off)
+        monkeypatch.setattr(cigl, "partition_counts", one_off)
         result = invoke("oracle", "--n", "3", "--format", "csv")
         assert result.exit_code == 1
         rows = [line.split(",") for line in result.output.splitlines()[1:]]
@@ -248,13 +249,13 @@ class TestOracle:
         assert [row[-1] for row in rows] == ["pass", "pass", "fail", "pass"]
 
     def test_series_disagreement_exits_one(self, monkeypatch):
-        sweep = identities.dobinski_bells
+        sweep = dobinski.dobinski_bells
 
         def shifted(seq, ns):
             # each interval moved wholly above its Bell number
             return [CertifiedValue(iv.hi + 1, iv.hi + 2) for iv in sweep(seq, ns)]
 
-        monkeypatch.setattr(identities, "dobinski_bells", shifted)
+        monkeypatch.setattr(dobinski, "dobinski_bells", shifted)
         result = invoke("oracle", "--n", "3", "--format", "csv")
         assert result.exit_code == 1
         rows = [line.split(",") for line in result.output.splitlines()[1:]]
@@ -461,6 +462,11 @@ class TestStartup:
 
     def test_verify_loads_no_parser_package(self):
         assert "click" not in loaded_modules("verify", "--identity", "q1-reduction", "--n-max", "3")
+
+    def test_verify_loads_only_the_runner_it_runs(self):
+        loaded = loaded_modules("verify", "--identity", "q1-reduction", "--n-max", "3")
+        assert "umbraldob.identities" in loaded
+        assert not {"umbraldob.cigl", "umbraldob.dobinski", "umbraldob.operator_calc"} & loaded
 
     def test_cigl_table_loads_no_series_or_identity_code(self):
         loaded = loaded_modules("table", "--kind", "cigl-q-bell", "--n", "3")

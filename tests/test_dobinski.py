@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import exp_partial, naive_bell, naive_gf_coefficient_verdict, naive_q_difference
+from helpers import exp_partial, naive_gf_coefficient_verdict, naive_q_difference
 from umbraldob import dobinski
 from umbraldob.dobinski import (
     GeneratingFunctionCheck,
@@ -17,7 +17,6 @@ from umbraldob.dobinski import (
     falling_moments,
     generating_function_checks,
     jackson_derivative,
-    moment_functional,
     poisson_moment_exact,
     psi_exp,
     rota_bell_exact,
@@ -25,7 +24,7 @@ from umbraldob.dobinski import (
     verify_pmf_via_generating_function,
 )
 from umbraldob.errors import NonConvergentError
-from umbraldob.exact_core import CertifiedValue, Poly
+from umbraldob.exact_core import Poly, certified_sum
 from umbraldob.identities import RUNNERS
 from umbraldob.umbral_engine import PsiSequence, q_number_symbolic
 
@@ -63,7 +62,6 @@ class TestDefaultThreshold:
         [
             (psi_exp, QUARTER, Fraction(1, 2)),
             (PsiPoissonDistribution.create, HALF, Fraction(3, 2)),
-            (lambda seq, lam: moment_functional(seq, lam, Poly((0, -1, 1))), QUARTER, 1),
             (lambda seq, lam: verify_falling_moment(seq, 3), HALF, 1),
             (lambda seq, lam: dobinski_bell(seq, 3), QUARTER, 1),
             (lambda seq, lam: generating_function_checks(seq, lam, 2), HALF, 1),
@@ -71,7 +69,7 @@ class TestDefaultThreshold:
             (lambda seq, lam: dobinski_bells(seq, range(4)), QUARTER, 1),
         ],
         ids=[
-            "psi_exp", "create", "moment_functional", "falling", "dobinski_bell", "pmf_gf_mean",
+            "psi_exp", "create", "falling", "dobinski_bell", "pmf_gf_mean",
             "falling_moments", "dobinski_bells",
         ],
     )
@@ -155,53 +153,13 @@ class TestPsiPoisson:
 
 
 class TestMomentFunctional:
-    def test_power_moments_bracket_bell(self):
-        for n in range(7):
-            got = moment_functional(CLASSICAL, 1, Poly.monomial(1, n))
-            assert got.contains(naive_bell(n))
-
-    def test_constant(self):
-        got = moment_functional(FIB, 1, Poly((3,)))
-        assert got.contains(3)
-
-    def test_mixed_sign_polynomial(self):
-        # x**2 - x has exact normalized moment B_2 - B_1 = 1 at lam = 1
-        got = moment_functional(CLASSICAL, 1, Poly((0, -1, 1)))
-        assert got.contains(1)
-
-    @given(
-        st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=5)
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_contains_exact_value(self, coeffs):
-        p = Poly(tuple(coeffs))
-        exact = poisson_moment_exact(p)
-        got = moment_functional(CLASSICAL, 1, p)
-        assert got.contains(exact)
-
-    def test_domain_check(self):
-        with pytest.raises(NonConvergentError):
-            moment_functional(HALF, 2, Poly((0, 1)))
-
     @pytest.mark.parametrize("seq", [CLASSICAL, HALF, THREE_HALVES, FIB], ids=lambda seq: seq.label)
     def test_power_moment_equals_dobinski_bell(self, seq):
-        # the same series, summed by the sign split and by the row sweep: equal endpoints, not overlap
+        # the series summed term by term and by the row sweep: equal endpoints, not overlap
+        thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
         for n in range(9):
-            assert moment_functional(seq, 1, Poly.monomial(1, n)) == dobinski_bell(seq, n)
-
-    @pytest.mark.parametrize(
-        "seq, lam, coeffs, lo, hi",
-        [
-            (CLASSICAL, 1, (0, -1, 1), Fraction(1, 2), Fraction(23, 12)),
-            (HALF, Fraction(1, 2), (1, -2, 0, 3), Fraction(121, 112), Fraction(6071, 1008)),
-            (FIB, 2, (0, -1, 1), Fraction(872, 237), Fraction(1144, 205)),
-        ],
-        ids=["classical", "q=1/2", "fibonacci"],
-    )
-    def test_mixed_sign_endpoints(self, seq, lam, coeffs, lo, hi):
-        # positive part minus negative part, then one division by exp_psi(lam); dividing each
-        # part before the subtraction moves these exact endpoints
-        assert moment_functional(seq, lam, Poly(coeffs)) == CertifiedValue(lo, hi)
+            power = certified_sum(lambda k: seq.value(k) ** n / seq.factorial(k), thr)
+            assert power.div_by_positive(normalizer) == dobinski_bell(seq, n)
 
 
 class TestFallingMoment:
@@ -219,7 +177,7 @@ class TestFallingMoment:
         CLASSICAL,
         FIB,
         *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "11/16", "17/16", "3/2")),
-        PsiSequence.custom([0] + [Fraction(7 * j % 11 + 1, j % 4 + 1) for j in range(1, 61)], "custom-60"),
+        PsiSequence.custom([0] + [Fraction(7 * j % 11 + 1, j % 4 + 1) for j in range(1, 61)]),
     ]
 
     @pytest.mark.parametrize("seq", WEIGHT_SEQS, ids=lambda seq: seq.label)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from umbraldob import identities
+from umbraldob import cigl, dobinski, identities, operator_calc
 from umbraldob.cigl import PARTITION_CAP
 from umbraldob.errors import CapExceededError
 from umbraldob.exact_core import CertifiedValue
@@ -35,32 +35,32 @@ class TestBellOracle:
             bell_oracle(PARTITION_CAP + 1)
 
     def _break_count(self, monkeypatch):
-        walk = identities.partition_counts
+        walk = cigl.partition_counts
 
         def one_off(n):
             counts = walk(n)
             counts[2] += 1
             return counts
 
-        monkeypatch.setattr(identities, "partition_counts", one_off)
+        monkeypatch.setattr(cigl, "partition_counts", one_off)
 
     def _break_row_sum(self, monkeypatch):
         row_sum = identities.bell_via_sum
         monkeypatch.setattr(identities, "bell_via_sum", lambda table, m: row_sum(table, m) + (m == 2))
 
     def _break_operator(self, monkeypatch):
-        operator = identities.dobinski_specialization
-        monkeypatch.setattr(identities, "dobinski_specialization", lambda m: operator(m) + (m == 2))
+        operator = operator_calc.dobinski_specialization
+        monkeypatch.setattr(operator_calc, "dobinski_specialization", lambda m: operator(m) + (m == 2))
 
     def _break_series(self, monkeypatch):
-        sweep = identities.dobinski_bells
+        sweep = dobinski.dobinski_bells
 
         def shifted(seq, ns):
             ivs = sweep(seq, ns)
             ivs[2] = CertifiedValue(ivs[2].hi + 1, ivs[2].hi + 2)
             return ivs
 
-        monkeypatch.setattr(identities, "dobinski_bells", shifted)
+        monkeypatch.setattr(dobinski, "dobinski_bells", shifted)
 
     @pytest.mark.parametrize("route", ["count", "row_sum", "operator", "series"])
     def test_each_route_alone_fails_its_row(self, route, monkeypatch):

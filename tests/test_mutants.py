@@ -1,14 +1,19 @@
 """Mutants of the kernels: each is a named monkeypatch, and a verdict that claims to cover it must fail."""
 
+from fractions import Fraction
+
 import pytest
 
-from umbraldob import operator_calc
-from umbraldob.exact_core import Poly
+from umbraldob import cigl, dobinski, operator_calc
+from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.identities import RUNNERS, bell_oracle
 from umbraldob.umbral_engine import PsiSequence
 
 CLASSICAL = PsiSequence.classical()
+SERIES_SEQS = [CLASSICAL, *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "3/2"))]
 REAL_MUL = Poly.__mul__
+REAL_PSI_EXP = dobinski.psi_exp
+REAL_COUNTS = cigl.partition_counts
 
 
 def operator_weight_m(p):
@@ -30,8 +35,52 @@ def mul_drops_last_cross_product(self, other):
     return Poly(out)
 
 
+def psi_exp_scaled(factor):
+    """exp_psi(lam) with both ends of its interval multiplied by factor."""
+
+    def mutant(seq, lam):
+        exp = REAL_PSI_EXP(seq, lam)
+        return CertifiedValue(exp.lo * factor, exp.hi * factor)
+
+    return mutant
+
+
+def counts_plus_one(n):
+    """Every partition count one too many."""
+    return [count + 1 for count in REAL_COUNTS(n)]
+
+
+def walk_opens_block_off_top(n):
+    """partition_counts whose walk opens a new block on every last entry but top, not on top."""
+    counts = [1] + [0] * n
+
+    def extend(length, top):
+        counts[length + 1] += top + 1
+        if length + 2 < n:
+            for last in range(top + 1):
+                extend(length + 1, top + (last != top))
+            return
+        counts[n] += sum(top + 1 + (last != top) for last in range(top + 1))
+
+    if n >= 2:
+        extend(0, 0)
+    elif n == 1:
+        counts[1] = 1
+    return counts
+
+
+def series_verdicts():
+    return [
+        case.ok for name in ("falling-moment", "dobinski") for seq in SERIES_SEQS for case in RUNNERS[name](seq, 12)
+    ]
+
+
+def oracle():
+    return [row.ok for row in bell_oracle(8)]
+
+
 def conjugation_and_oracle():
-    return [case.ok for case in RUNNERS["conjugation"](CLASSICAL, 20)] + [row.ok for row in bell_oracle(8)]
+    return [case.ok for case in RUNNERS["conjugation"](CLASSICAL, 20)] + oracle()
 
 
 def polynomial_towers():
@@ -49,6 +98,19 @@ MUTANTS = [
         polynomial_towers,
         id="poly-mul-drops-last-cross-product",
     ),
+    *(
+        pytest.param(
+            [(dobinski, "psi_exp", psi_exp_scaled(1 + sign * Fraction(1, 2**40)))],
+            series_verdicts,
+            id=f"psi-exp-times-1{'+-'[sign < 0]}2^-40",
+            marks=pytest.mark.xfail(
+                strict=True, reason="the intervals are too wide to see it: killed by ROADMAP items 1 and 6"
+            ),
+        )
+        for sign in (1, -1)
+    ),
+    pytest.param([(cigl, "partition_counts", counts_plus_one)], oracle, id="partition-counts-plus-one"),
+    pytest.param([(cigl, "partition_counts", walk_opens_block_off_top)], oracle, id="walk-last-not-top"),
 ]
 
 

@@ -119,16 +119,17 @@ class TestPsiSequence:
         with pytest.raises(ValueError):
             PsiSequence("lucas")
 
-    def test_equal_and_hashed_by_kind_q_values_label(self):
+    def test_equal_and_hashed_by_kind_q_values(self):
         half = PsiSequence.gauss_q(Fraction(2, 4))
         half.factorial(12)  # the grown prefixes are not part of the value
         assert half == HALF and hash(half) == hash(HALF)
         assert half.q == Fraction(1, 2) and half.label == "q=1/2"
-        assert PsiSequence("gauss-q", q=Fraction(1, 2), label="half") != HALF
+        assert PsiSequence.custom([0, 1, 2]).label == "custom" and FIB.label == "fibonacci"
+        for seq in (half, PsiSequence.custom([0, 1, 2])):
+            assert pickle.loads(pickle.dumps(seq)) == seq
         assert PsiSequence.gauss_q(1) != CLASSICAL  # same values, different kind
         assert PsiSequence.custom([0, 1, 2]) == PsiSequence.custom([0, Fraction(1), 2])
         assert PsiSequence.custom([0, 1, 2]) != PsiSequence.custom([0, 1, 3])
-        assert PsiSequence.custom([0, 1, 2], label="t") != PsiSequence.custom([0, 1, 2])
         assert len({CLASSICAL, PsiSequence.classical(), FIB, HALF, half}) == 3
 
     def test_immutable(self):
