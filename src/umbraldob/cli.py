@@ -7,10 +7,14 @@ Bell numbers along every independent route.  Machine formats emit rationals
 as explicit numerator/denominator strings and polynomials as coefficient
 lists, lowest degree first, so that output parses back without loss.
 
-Exit status: 0 when everything passed, 1 when a verification verdict
-failed, 2 on unusable input (usage errors, parse failures, inadmissible
-sequences, cap or convergence violations).  ``main`` parses each command's
-options, given as ``--opt value`` or ``--opt=value``, from ``COMMANDS``.
+No command prints or exits: each returns its CSV header, its rows (JSON
+records, CSV line, pretty line) and whether every verdict passed, and raises
+UmbralDobError on unusable input.  ``main`` parses each command's options,
+given as ``--opt value`` or ``--opt=value``, from ``COMMANDS``, and is the one
+place that prints and picks the exit status: 0 when everything passed, 1 when
+a verification verdict failed, 2 with one message on stderr on unusable input
+(usage errors, parse failures, inadmissible sequences, cap or convergence
+violations).
 
 Example::
 
@@ -27,7 +31,7 @@ import sys
 from fractions import Fraction
 
 # Every command runs these; each imports the rest of what it runs in its own body, to keep start-up short.
-from .errors import UmbralDobError
+from .errors import CapExceededError, UmbralDobError
 from .exact_core import CertifiedValue, Poly
 from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
 
@@ -37,11 +41,6 @@ IDENTITIES = ("falling-moment", "dobinski", "cigl-dobinski", "conjugation", "pmf
 FORMATS = ("json", "csv", "pretty")
 
 _JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
-
-
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
-    sys.exit(2)
 
 
 def frac_text(x) -> str:
@@ -75,18 +74,8 @@ def parse_sequence(descriptor: str) -> PsiSequence:
             return PsiSequence.custom(Fraction(s) for s in parts)
         raise ValueError(f"unrecognized sequence {descriptor!r}")
     except (ValueError, ZeroDivisionError) as exc:
-        _fail(str(exc) if isinstance(exc, ValueError) else f"zero denominator in sequence {descriptor!r}")
-
-
-def _emit(fmt: str, csv_header: str, records: list[dict], rows: list[tuple[str, str]]) -> None:
-    """Print the records as one JSON array, or each row's csv or pretty line."""
-    if fmt == "json":
-        import json
-        print(json.dumps(records, **_JSON_KW))
-        return
-    lines = [csv_header, *(csv for csv, _ in rows)] if fmt == "csv" else [pretty for _, pretty in rows]
-    for line in lines:
-        print(line)
+        message = str(exc) if isinstance(exc, ValueError) else f"zero denominator in sequence {descriptor!r}"
+        raise UmbralDobError(message) from None
 
 
 def _pretty(label: str, params: dict, value: str) -> str:
@@ -94,104 +83,92 @@ def _pretty(label: str, params: dict, value: str) -> str:
     return f"{label} {where}: {value}"
 
 
-def cmd_table(kind: str, n: int, fmt: str) -> None:
+def cmd_table(kind: str, n: int) -> tuple[str, list, bool]:
     """Print a Stirling triangle or Bell sequence up to n."""
     if kind.startswith("q-"):
         build, show = carlitz_q_stirling, poly_coeff_list
     elif kind.startswith("cigl-"):
         from .cigl import PARTITION_CAP, cigl_q_stirling_table
         if n > PARTITION_CAP:
-            _fail(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
+            raise CapExceededError(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
         build, show = cigl_q_stirling_table, poly_coeff_list
     else:
         build, show = classical_stirling_table, str
-    triangle = kind.endswith("stirling")
-    records, rows = [], []
+    triangle, rows = kind.endswith("stirling"), []
     # Every kind builds its tower once and reads its triangle or its row sums.
     tower = build(n)
     read = (lambda m, k: tower.entry(m, k)) if triangle else (lambda m: bell_via_sum(tower, m))
     for m in range(n + 1):
         for params in [{"n": m, "k": k} for k in range(m + 1)] if triangle else [{"n": m}]:
             value = show(read(*params.values()))
-            records.append({"kind": kind, "parameters": params, "value": value})
             cell = value if isinstance(value, str) else ";".join(value)
             front = ",".join(str(v) for v in params.values())
-            rows.append((f"{front},{cell}", _pretty(kind, params, cell)))
-    _emit(fmt, "n,k,value" if triangle else "n,value", records, rows)
+            record = {"kind": kind, "parameters": params, "value": value}
+            rows.append(([record], f"{front},{cell}", _pretty(kind, params, cell)))
+    return "n,k,value" if triangle else "n,value", rows, True
 
 
-def cmd_verify(identity: str, n_max: int, seq_text: str, fmt: str) -> None:
+def cmd_verify(identity: str, n_max: int, seq_text: str) -> tuple[str, list, bool]:
     """Run one identity suite up to n-max and report per-case verdicts."""
     from .identities import RUNNERS
     seq = parse_sequence(seq_text)
-    cases = RUNNERS[identity](seq, n_max)
-    records, rows = [], []
+    cases, rows = RUNNERS[identity](seq, n_max), []
     for case in cases:
         p, verdict = case.params, "pass" if case.ok else "fail"
-        records.append({"kind": "verify", "parameters": p, "value": verdict})
         n = p.get("n", p.get("max_degree", ""))
         where = {key: v for key, v in p.items() if key != "identity"}
-        rows.append(
-            (f"{p['identity']},{p.get('seq', '-')},{n},{verdict}", _pretty(p["identity"], where, verdict))
-        )
-    _emit(fmt, "identity,seq,n,verdict", records, rows)
-    if not all(case.ok for case in cases):
-        sys.exit(1)
+        record = {"kind": "verify", "parameters": p, "value": verdict}
+        csv = f"{p['identity']},{p.get('seq', '-')},{n},{verdict}"
+        rows.append(([record], csv, _pretty(p["identity"], where, verdict)))
+    return "identity,seq,n,verdict", rows, all(case.ok for case in cases)
 
 
-def cmd_dist(seq_text: str, lam_text: str, k_max: int, fmt: str) -> None:
+def cmd_dist(seq_text: str, lam_text: str, k_max: int) -> tuple[str, list, bool]:
     """Print certified pmf bounds for the generalized Poisson distribution."""
     from .dobinski import PsiPoissonDistribution
     seq = parse_sequence(seq_text)
     try:
         lam = Fraction(lam_text)
     except (ValueError, ZeroDivisionError):
-        _fail(f"unusable rational {lam_text!r} for --lambda")
+        raise UmbralDobError(f"unusable rational {lam_text!r} for --lambda") from None
     if lam <= 0:
-        _fail("--lambda must be positive")
+        raise UmbralDobError("--lambda must be positive")
     dist = PsiPoissonDistribution.create(seq, lam)
     bounds = [dist.pmf(k) for k in range(k_max + 1)]
-    base = {"seq": seq.label, "lambda": frac_text(lam)}
-    records, rows = [], []
+    base, rows = {"seq": seq.label, "lambda": frac_text(lam)}, []
     for k, (lo, hi) in enumerate(bounds):
         lo, hi = frac_text(lo), frac_text(hi)
-        records.append({"kind": "pmf", "parameters": {**base, "k": k}, "value": [lo, hi]})
-        rows.append((f"{k},{lo},{hi}", f"p({k}) in [{lo}, {hi}]"))
+        record = {"kind": "pmf", "parameters": {**base, "k": k}, "value": [lo, hi]}
+        rows.append(([record], f"{k},{lo},{hi}", f"p({k}) in [{lo}, {hi}]"))
     lo, hi = interval_pair(dist.normalizer)
-    records.append({"kind": "normalizer", "parameters": base, "value": [lo, hi]})
-    rows.append((f"normalizer,{lo},{hi}", f"normalizer in [{lo}, {hi}]"))
-    _emit(fmt, "k,lo,hi", records, rows)
+    record = {"kind": "normalizer", "parameters": base, "value": [lo, hi]}
+    rows.append(([record], f"normalizer,{lo},{hi}", f"normalizer in [{lo}, {hi}]"))
+    return "k,lo,hi", rows, True
 
 
-def cmd_oracle(n: int, fmt: str) -> None:
+def cmd_oracle(n: int) -> tuple[str, list, bool]:
     """Cross-check the Bell numbers along every independent route up to n."""
     from .cigl import PARTITION_CAP
     from .identities import bell_oracle
     if n > PARTITION_CAP:
-        _fail(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
-    oracle = bell_oracle(n)
-    records, rows = [], []
+        raise CapExceededError(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
+    oracle, rows = bell_oracle(n), []
     for m, count, rota, operator, series, ok in oracle:
         op = str(operator)
         lo, hi = interval_pair(series)
         verdict = "pass" if ok else "fail"
         params = {"n": m}
-        records += [
+        records = [
             {"kind": "enumeration-count", "parameters": params, "value": str(count)},
             {"kind": "rota-bell", "parameters": params, "value": str(rota)},
             {"kind": "operator-bell", "parameters": params, "value": op},
             {"kind": "dobinski-interval", "parameters": params, "value": [lo, hi]},
             {"kind": "agreement", "parameters": params, "value": verdict},
         ]
-        rows.append(
-            (
-                f"{m},{count},{rota},{op},{lo},{hi},{verdict}",
-                f"n={m}: enumeration={count} rota={rota} operator={op} series=[{lo}, {hi}] -> {verdict}",
-            )
-        )
-    _emit(fmt, "n,enumeration,rota_bell,operator_bell,dobinski_lo,dobinski_hi,verdict", records, rows)
-    if not all(row.ok for row in oracle):
-        sys.exit(1)
+        pretty = f"n={m}: enumeration={count} rota={rota} operator={op} series=[{lo}, {hi}] -> {verdict}"
+        rows.append((records, f"{m},{count},{rota},{op},{lo},{hi},{verdict}", pretty))
+    header = "n,enumeration,rota_bell,operator_bell,dobinski_lo,dobinski_hi,verdict"
+    return header, rows, all(row.ok for row in oracle)
 
 
 _FORMAT = ("fmt", FORMATS, "pretty")
@@ -251,11 +228,21 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
             bad_usage(f"Invalid value for {opt!r}: {value!r} is not one of {', '.join(map(repr, kind))}.")
     for opt in [opt for opt, (key, _, _) in options.items() if kwargs[key] is None]:
         bad_usage(f"Missing option {opt!r}.")
-    # Every command computes before it prints, so a domain error from any of them exits 2 with no output.
+    # Every command computes before anything prints, so a domain error from any of them exits 2 with no output.
+    fmt = kwargs.pop("fmt")
     try:
-        command(**kwargs)
+        header, rows, ok = command(**kwargs)
     except UmbralDobError as exc:
-        _fail(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    if fmt == "json":
+        import json
+        print(json.dumps([record for records, _, _ in rows for record in records], **_JSON_KW))
+    else:
+        for line in [header, *(csv for _, csv, _ in rows)] if fmt == "csv" else [pretty for *_, pretty in rows]:
+            print(line)
+    if not ok:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -21,12 +21,14 @@ of exp_psi.  No function here takes a per-call summation setting.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
+from . import exact_core
 from .errors import NonConvergentError
 from .exact_core import CertifiedValue, Poly, certified_sum
 from .umbral_engine import (
     CLASSICAL,
+    CUSTOM,
     GAUSS_Q,
     PsiSequence,
     bell_via_sum,
@@ -48,8 +50,14 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     rho can exceed 1/2 (q=1/4 at lam=1 gives 3/4), and splitting the gap
     toward 1 keeps the threshold reachable while the geometric tail bound
     stays finite.  Every other built-in kind has ratios that tend to 0.
+
+    psi never decreases for a built-in kind ([k+1]_q = [k]_q + q**k), so the
+    term ratios lam / psi(k) of exp_psi never rise, and certified_sum can only
+    truncate at a k <= SUM_CAP - MONOTONE_WINDOW with psi(k) * threshold >= lam.
+    Where no such k exists, this raises certified_sum's NonConvergentError at
+    once instead of after summing to the cap.  A custom table ends before it.
     """
-    lam = Fraction(lam)
+    lam, thr = Fraction(lam), Fraction(1, 2)
     if lam <= 0:
         raise ValueError("lam must be positive")
     if seq.kind == GAUSS_Q and seq.q < 1:
@@ -58,24 +66,18 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
             raise NonConvergentError(
                 f"exp_psi diverges for {seq.label} at lam={lam}: need lam < {1 / (1 - seq.q)}"
             )
-        return max(Fraction(1, 2), (1 + rho) / 2)
-    return Fraction(1, 2)
+        thr = max(thr, (1 + rho) / 2)
+    cap = exact_core.SUM_CAP
+    last = cap - exact_core.MONOTONE_WINDOW  # certified_sum tests no ratio lam / psi(k) past k = last
+    if seq.kind != CUSTOM and not any(seq.value(k) * thr >= lam for k in range(1, last + 1)):
+        raise NonConvergentError(f"no certified truncation point within hard cap {cap}")
+    return thr
 
 
 def psi_exp(seq: PsiSequence, lam) -> CertifiedValue:
     """Certified interval for exp_psi(lam) = sum_k lam**k / factorial(k)."""
     thr, lam = default_ratio_threshold(seq, lam), Fraction(lam)
     return certified_sum(lambda k: lam**k / seq.factorial(k), thr)
-
-
-def _normalized_sums(seq: PsiSequence, rows: Iterable[Callable[[int], Fraction]]) -> list[CertifiedValue]:
-    """Certified exp_psi(1)**-1 * sum_k row(k) for each term function row in rows, at lam = 1.
-
-    Each row gives non-negative terms, as certified_sum requires; exp_psi(1) is summed
-    once for all.  The rows are drawn one at a time, each after the row before is summed.
-    """
-    thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
-    return [certified_sum(row, thr).div_by_positive(normalizer) for row in rows]
 
 
 class PsiPoissonDistribution(NamedTuple):
@@ -102,34 +104,35 @@ class PsiPoissonDistribution(NamedTuple):
         return numer / self.normalizer.hi, numer / self.normalizer.lo
 
 
-def _rows(seq: PsiSequence, ns: Iterable[int], power: bool) -> Iterator[Callable[[int], Fraction]]:
-    """The entries k -> w(k, n) / factorial(k) of row n, for each n in ns in turn.
+def _moments(seq: PsiSequence, ns: Iterable[int], power: bool) -> list[CertifiedValue]:
+    """Certified exp_psi(1)**-1 * sum_k w(k, n) / factorial(k) for each n in ns in turn, at lam = 1.
 
-    w(k, n) is psi(k)**n if power, else falling(k, n).  Where row n-1 came
-    just before and was asked for k, entry (n, k) is entry (n-1, k) times one
-    factor, psi(k) or psi(k-n+1), and a zero entry stays zero; any other
-    entry is computed from w.  A row keeps the entries it is asked for in
-    turn from k = 0 until the next row has been drawn.
+    w(k, n) is psi(k)**n if power, else falling(k, n); exp_psi(1) is summed once
+    for all.  Where row n-1 was summed just before and reached k, entry (n, k)
+    is entry (n-1, k) times one factor, psi(k) or psi(k-n+1), and a zero entry
+    stays zero; any other entry is computed from w.
     """
-    kept, last = [], None
+    thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
+    sums, row, last = [], [], None
     for n in ns:
-        above, kept, last = kept if last == n - 1 else [], [], n
+        above, row, last = row if last == n - 1 else [], [], n
 
-        def entry(k: int, n=n, above=above, kept=kept) -> Fraction:
+        def entry(k: int) -> Fraction:
             if k < len(above):
                 v = above[k] and above[k] * seq.value(k if power else k - n + 1)
             else:
                 v = (seq.value(k) ** n if power else seq.falling(k, n)) / seq.factorial(k)
-            if k == len(kept):
-                kept.append(v)
+            if k == len(row):
+                row.append(v)
             return v
 
-        yield entry
+        sums.append(certified_sum(entry, thr).div_by_positive(normalizer))
+    return sums
 
 
 def falling_moments(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """verify_falling_moment for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, _rows(seq, ns, power=False))
+    return _moments(seq, ns, power=False)
 
 
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -146,7 +149,7 @@ def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
 
 def dobinski_bells(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
     """dobinski_bell for each n in ns, against one sum of exp_psi(1)."""
-    return _normalized_sums(seq, _rows(seq, ns, power=True))
+    return _moments(seq, ns, power=True)
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -229,7 +232,9 @@ def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[Genera
     coeffs = [lam**k / seq.factorial(k) for k in range(n_max + 1)]
     mean_ok = None
     if lam == 1:
-        mean_ok = _normalized_sums(seq, [lambda k: q_number_symbolic(k).evaluate(qv) / seq.factorial(k)])[0].contains(1)
+        thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
+        mean = certified_sum(lambda k: q_number_symbolic(k).evaluate(qv) / seq.factorial(k), thr)
+        mean_ok = mean.div_by_positive(normalizer).contains(1)
     series, q_factorial, checks = tuple(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
@@ -409,6 +410,28 @@ class TestSummationCapPlumbing:
         monkeypatch.setattr(exact_core, "SUM_CAP", 500)
         result = invoke("verify", "--identity", "dobinski", "--n-max", "6")
         assert result.exit_code == 0
+
+    def test_lambda_past_the_cap_fails_before_summing(self, monkeypatch):
+        # exp_psi(lam) truncates only where psi(k)/2 >= lam for some k <= SUM_CAP - 8: k = 92 reaches 46
+        calls, real = [], dobinski.certified_sum
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(exact_core, "SUM_CAP", 100)
+        monkeypatch.setattr(dobinski, "certified_sum", counting)
+        result = invoke("dist", "--lambda", "93/2", "--k-max", "0")
+        assert (result.exit_code, result.stdout, calls) == (2, "", [])
+        assert result.stderr == "error: no certified truncation point within hard cap 100\n"
+        assert invoke("dist", "--lambda", "46", "--k-max", "0").exit_code == 0
+
+    def test_large_lambda_fails_fast(self):
+        start = time.perf_counter()
+        result = invoke("dist", "--lambda", "6000", "--k-max", "0")
+        assert time.perf_counter() - start < 2
+        assert (result.exit_code, result.stdout) == (2, "")
+        assert result.stderr == "error: no certified truncation point within hard cap 10000\n"
 
 
 def boom(*args):

@@ -24,7 +24,7 @@ from umbraldob.dobinski import (
     verify_pmf_via_generating_function,
 )
 from umbraldob.errors import NonConvergentError
-from umbraldob.exact_core import Poly, certified_sum
+from umbraldob.exact_core import CertifiedValue, Poly, certified_sum
 from umbraldob.identities import RUNNERS
 from umbraldob.umbral_engine import PsiSequence, q_number_symbolic
 
@@ -181,14 +181,25 @@ class TestFallingMoment:
     ]
 
     @pytest.mark.parametrize("seq", WEIGHT_SEQS, ids=lambda seq: seq.label)
-    def test_row_entries_are_their_definitions(self, seq):
+    def test_row_entries_are_their_definitions(self, monkeypatch, seq):
         # At lam = 1 a wrong entry can still give an interval that contains 1, so every entry
         # built from the row above is checked against its definition, zeros included.
-        ns = range(31)
-        for n, falling, power in zip(ns, dobinski._rows(seq, ns, False), dobinski._rows(seq, ns, True)):
-            ks = range(n + 31)
-            assert [falling(k) for k in ks] == [seq.falling(k, n) / seq.factorial(k) for k in ks]
-            assert [power(k) for k in ks] == [seq.value(k) ** n / seq.factorial(k) for k in ks]
+        unit, rows = CertifiedValue(Fraction(1), Fraction(1)), []
+
+        def reading(term, thr):
+            # row n is read at k = 0..n+30 in order, then again: a second read must append nothing
+            ks = range(len(rows) + 31)
+            rows.append([term(k) for k in ks])
+            assert [term(k) for k in ks] == rows[-1]
+            return unit
+
+        monkeypatch.setattr(dobinski, "certified_sum", reading)
+        # exp_psi(1) of the custom table has no certified truncation point, so the normalizer is a unit stand-in
+        monkeypatch.setattr(dobinski, "psi_exp", lambda seq, lam: unit)
+        for sweep, w in ((falling_moments, seq.falling), (dobinski_bells, lambda k, n: seq.value(k) ** n)):
+            rows.clear()
+            sweep(seq, range(31))
+            assert rows == [[w(k, n) / seq.factorial(k) for k in range(n + 31)] for n in range(31)]
 
     @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)
     def test_sweeps_with_gaps_equal_single_calls(self, seq):

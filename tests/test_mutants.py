@@ -4,16 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from umbraldob import cigl, dobinski, operator_calc
+from umbraldob import cigl, dobinski, identities, operator_calc
 from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.identities import RUNNERS, bell_oracle
-from umbraldob.umbral_engine import PsiSequence
+from umbraldob.umbral_engine import PsiSequence, StirlingTable, q_number_symbolic, recurrence_table
 
 CLASSICAL = PsiSequence.classical()
 SERIES_SEQS = [CLASSICAL, *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "3/2"))]
 REAL_MUL = Poly.__mul__
 REAL_PSI_EXP = dobinski.psi_exp
 REAL_COUNTS = cigl.partition_counts
+REAL_MOMENTS = dobinski._moments
+REAL_CARLITZ = identities.carlitz_q_stirling
+REAL_BELL = identities.bell_via_sum
 
 
 def operator_weight_m(p):
@@ -69,6 +72,58 @@ def walk_opens_block_off_top(n):
     return counts
 
 
+def moments_falling_step_k_minus_n(seq, ns, power):
+    """The moment sweep with the falling step psi(k-n) in place of psi(k-n+1); entry (n, n-1) stays 0."""
+    thr, normalizer = dobinski.default_ratio_threshold(seq, 1), dobinski.psi_exp(seq, 1)
+    sums, row, last = [], [], None
+    for n in ns:
+        above, row, last = row if last == n - 1 else [], [], n
+
+        def entry(k):
+            if k < len(above):
+                v = above[k] and above[k] * (seq.value(k) if power else k >= n and seq.value(k - n))
+            else:
+                v = (seq.value(k) ** n if power else seq.falling(k, n)) / seq.factorial(k)
+            if k == len(row):
+                row.append(v)
+            return v
+
+        sums.append(dobinski.certified_sum(entry, thr).div_by_positive(normalizer))
+    return sums
+
+
+def moments_falling_at_n_plus_one(seq, ns, power):
+    """The moment sweep with falling row n read at n+1."""
+    return REAL_MOMENTS(seq, [n + (not power) for n in ns], power)
+
+
+def carlitz_left_weight_q_k(n_max):
+    """The Carlitz tower with left weight q**k in place of q**(k-1)."""
+    return recurrence_table(n_max, lambda n, k: Poly.monomial(1, k), lambda n, k: q_number_symbolic(k), Poly((1,)))
+
+
+def carlitz_row_6_swapped(n_max):
+    """The Carlitz tower with entries 2 and 3 of row 6 swapped."""
+    rows = REAL_CARLITZ(n_max).rows
+    if n_max >= 6:
+        rows = (*rows[:6], (*rows[6][:2], rows[6][3], rows[6][2], *rows[6][4:]), *rows[7:])
+    return StirlingTable(n_max, rows)
+
+
+def cigl_right_weight_q_n_plus_one(n_max):
+    """The zero-block tower with right weight q**(n+1) + k - 1 in place of q**n + k - 1."""
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n + 1) + (k - 1), Poly((1,)))
+
+
+def bell_reference_scaled(factor):
+    """The Dobinski runner's reference row sums multiplied by factor."""
+
+    def mutant(table, n):
+        return REAL_BELL(table, n) * factor
+
+    return mutant
+
+
 def series_verdicts():
     return [
         case.ok for name in ("falling-moment", "dobinski") for seq in SERIES_SEQS for case in RUNNERS[name](seq, 12)
@@ -105,6 +160,31 @@ MUTANTS = [
             id=f"psi-exp-times-1{'+-'[sign < 0]}2^-40",
             marks=pytest.mark.xfail(
                 strict=True, reason="the intervals are too wide to see it: killed by ROADMAP items 1 and 6"
+            ),
+        )
+        for sign in (1, -1)
+    ),
+    pytest.param([(dobinski, "_moments", moments_falling_step_k_minus_n)], series_verdicts, id="falling-step-psi-k-n"),
+    pytest.param(
+        [(dobinski, "_moments", moments_falling_at_n_plus_one)],
+        series_verdicts,
+        id="falling-row-read-at-n+1",
+        marks=pytest.mark.xfail(strict=True, reason="every falling moment is 1 at lam = 1: killed by ROADMAP item 2"),
+    ),
+    pytest.param([(identities, "carlitz_q_stirling", carlitz_left_weight_q_k)], series_verdicts, id="carlitz-left-q^k"),
+    pytest.param(
+        [(identities, "carlitz_q_stirling", carlitz_row_6_swapped)], polynomial_towers, id="carlitz-row-6-swapped"
+    ),
+    pytest.param(
+        [(cigl, "cigl_q_stirling_table", cigl_right_weight_q_n_plus_one)], polynomial_towers, id="cigl-right-q^(n+1)"
+    ),
+    *(
+        pytest.param(
+            [(identities, "bell_via_sum", bell_reference_scaled(1 + sign * Fraction(1, 2**40)))],
+            series_verdicts,
+            id=f"dobinski-reference-times-1{'+-'[sign < 0]}2^-40",
+            marks=pytest.mark.xfail(
+                strict=True, reason="the intervals are too wide to see it: killed by ROADMAP item 1"
             ),
         )
         for sign in (1, -1)

@@ -88,6 +88,21 @@ def test_one_domain_error_handler_in_the_cli():
     assert [ast.unparse(node.type) for node in handlers].count("UmbralDobError") == 1
 
 
+def test_only_main_prints_or_exits():
+    # one exit path: the commands return their rows and verdict, and cli.main alone prints and exits
+    found = []
+    for path in sorted((ROOT / "src" / "umbraldob").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        mains = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "main"]
+        inside = {id(node) for main in mains for node in ast.walk(main)} if path.name == "cli.py" else set()
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in ("print", "sys.exit") and id(node) not in inside
+        ]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "path", sorted([*(ROOT / "src" / "umbraldob").glob("*.py"), *(ROOT / "scripts").glob("*.py")]), ids=lambda p: p.name
 )
