@@ -2,16 +2,17 @@
 """Sweep every identity across the built-in sequences and print a report.
 
 This is the long-form companion to `umbraldob verify`: it runs every suite
-in the identity registry in one go, the sequence-dependent ones once per
-built-in sequence, and prints one verdict line per suite and sequence, with
-the widest certified interval where the suite reads its verdicts from
-intervals.  A sequence the suite has no reference route for is reported as
-skipped.  cigl-dobinski, and the Bell oracle of `umbraldob oracle` that
-follows the suites, stop at min(n_max, PARTITION_CAP).  The oracle's one
-brute-force walk counts the restricted growth strings of every length, and
-each count must equal the Stirling row sum and the umbral operator value
-and lie in the Dobinski interval.  Exits 1 if a verdict failed, and 2 with
-a message on stderr if a cap or convergence limit stopped the sweep.
+in the identity registry, once per built-in sequence if its cases name their
+sequence and once otherwise, and prints one verdict line per suite and
+sequence, with the widest certified interval where the suite reads its
+verdicts from intervals.  A sequence the suite has no reference route for
+is reported as skipped.  cigl-dobinski, and the Bell oracle of `umbraldob
+oracle` that follows the suites, stop at min(n_max, PARTITION_CAP).  The
+oracle's one brute-force walk counts the restricted growth strings of every
+length, and each count must equal the Stirling row sum and the umbral
+operator value and lie in the Dobinski interval.  Exits 1 if a verdict
+failed, and 2 with a message on stderr if a cap or convergence limit stopped
+the sweep.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10
@@ -24,7 +25,7 @@ from fractions import Fraction
 
 from umbraldob.cigl import PARTITION_CAP
 from umbraldob.errors import UmbralDobError, UnsupportedSequenceError
-from umbraldob.identities import PER_SEQUENCE, RUNNERS, bell_oracle
+from umbraldob.identities import RUNNERS, bell_oracle
 from umbraldob.umbral_engine import PsiSequence
 
 SEQUENCES = [
@@ -47,16 +48,18 @@ def run(n_max: int) -> int:
     for name, runner in RUNNERS.items():
         depth = min(n_max, PARTITION_CAP) if name == "cigl-dobinski" else n_max
         print(f"{name} (n <= {depth})")
-        per_sequence = name in PER_SEQUENCE
-        for seq in SEQUENCES if per_sequence else SEQUENCES[:1]:
-            label = seq.label if per_sequence else "any sequence"
+        for seq in SEQUENCES:
             try:
                 cases = runner(seq, depth)
             except UnsupportedSequenceError:
-                print(f"  [ -- ] {label}  (skipped)")
+                print(f"  [ -- ] {seq.label}  (skipped)")
                 continue
+            per_sequence = any("seq" in case.params for case in cases)
             widths = [case.interval.width for case in cases if case.interval is not None]
+            label = seq.label if per_sequence else "any sequence"
             report(label, all(case.ok for case in cases), f"max width {max(widths)}" if widths else "")
+            if not per_sequence:
+                break
 
     top = min(n_max, PARTITION_CAP)
     print(f"enumeration: brute-force count vs exact routes (n <= {top})")

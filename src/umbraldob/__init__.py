@@ -15,7 +15,7 @@ _EXPORTS = {  # public name -> the module that defines it
         ),
         "dobinski": (
             "GeneratingFunctionCheck PsiPoissonDistribution default_ratio_threshold dobinski_bell"
-            " generating_function_checks jackson_derivative poisson_moment_exact psi_exp"
+            " generating_function_checks jackson_derivative psi_exp"
             " rota_bell_exact verify_falling_moment verify_pmf_via_generating_function"
         ),
         "errors": "CapExceededError NegativeTermError NonConvergentError OutOfRangeError UmbralDobError",
@@ -23,7 +23,7 @@ _EXPORTS = {  # public name -> the module that defines it
         "operator_calc": "apply_number_operator dobinski_specialization exponential_polynomial verify_conjugation",
         "umbral_engine": (
             "PsiSequence StirlingTable bell_via_sum carlitz_q_stirling classical_stirling_table"
-            " psi_stirling_diagnostic q_number_symbolic recurrence_table stirling2"
+            " poisson_moment_exact psi_stirling_diagnostic q_number_symbolic recurrence_table stirling2"
         ),
     }.items()
     for name in names.split()

@@ -19,7 +19,7 @@ from typing import Iterator
 
 from .errors import CapExceededError
 from .exact_core import Poly
-from .umbral_engine import StirlingTable, bell_via_sum, recurrence_table
+from .umbral_engine import StirlingTable, bell_via_sum, poisson_moment_exact, recurrence_table
 
 # Full enumeration of n = 13 already means 27.6 million partitions; past that
 # the desk-scale guarantees of this module stop holding.
@@ -134,5 +134,4 @@ def cigl_q_dobinski_exact(n: int) -> Poly:
     matching Bell number, coefficient-wise over the q-polynomials.  The
     result must coincide with cigl_q_bell(n) as an exact polynomial.
     """
-    from .dobinski import poisson_moment_exact  # here, so that the cigl tables load no series code
     return poisson_moment_exact(cigl_q_power(n))

@@ -116,10 +116,9 @@ def cmd_verify(identity: str, n_max: int, seq_text: str) -> tuple[str, list, boo
     for case in cases:
         p, verdict = case.params, "pass" if case.ok else "fail"
         n = p.get("n", p.get("max_degree", ""))
-        where = {key: v for key, v in p.items() if key != "identity"}
-        record = {"kind": "verify", "parameters": p, "value": verdict}
-        csv = f"{p['identity']},{p.get('seq', '-')},{n},{verdict}"
-        rows.append(([record], csv, _pretty(p["identity"], where, verdict)))
+        record = {"kind": "verify", "parameters": {"identity": identity, **p}, "value": verdict}
+        csv = f"{identity},{p.get('seq', '-')},{n},{verdict}"
+        rows.append(([record], csv, _pretty(identity, p, verdict)))
     return "identity,seq,n,verdict", rows, all(case.ok for case in cases)
 
 

@@ -4,14 +4,13 @@ The central objects are certified rational intervals for series of the form
 sum_k p(psi(k)) * lam**k / psi-factorial(k), normalized by the generalized
 exponential exp_psi(lam) = sum_k lam**k / psi-factorial(k).  At lam = 1 the
 normalized falling-factorial moments are exactly 1 and the power moments
-recover the Bell tower, which is what the verify_* routines check.  A fully
-exact route (no intervals) is available through the row sums of the
-classical Stirling triangle: rota_bell_exact and poisson_moment_exact.  A
-sweep over n sums the normalizer exp_psi(1) once and builds the terms of row n
-from those of row n-1, one psi factor each (entry (n, k) is
-falling(k, n) / psi!(k) or psi(k)**n / psi!(k), never the shifted
-1 / psi!(k-n)); the generating-function route runs one q-difference chain and
-one mean sum per sweep.
+recover the Bell tower, which is what the verify_* routines check;
+rota_bell_exact gives the Bell number with no interval, as a row sum of the
+classical Stirling triangle.  A sweep over n sums the normalizer exp_psi(1)
+once and builds the terms of row n from those of row n-1, one psi factor each
+(entry (n, k) is falling(k, n) / psi!(k) or psi(k)**n / psi!(k), never the
+shifted 1 / psi!(k-n)); the generating-function route runs one q-difference
+chain and one mean sum per sweep.
 
 Every series is truncated by one rule: certified_sum with the threshold
 default_ratio_threshold(seq, lam), which also rejects lam outside the domain
@@ -25,7 +24,7 @@ from typing import Iterable, NamedTuple
 
 from . import exact_core
 from .errors import NonConvergentError
-from .exact_core import CertifiedValue, Poly, certified_sum
+from .exact_core import CertifiedValue, certified_sum
 from .umbral_engine import (
     CLASSICAL,
     CUSTOM,
@@ -166,19 +165,6 @@ def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
 def rota_bell_exact(n: int) -> int:
     """The n-th Bell number as the row sum of the second-kind triangle."""
     return bell_via_sum(classical_stirling_table(n), n)
-
-
-def poisson_moment_exact(p: Poly):
-    """Apply the exact moment functional: substitute the m-th power by the m-th Bell number.
-
-    For scalar coefficients the result is a Fraction; polynomial coefficients
-    (powers of x weighted by q-polynomials) pass through coefficient-wise and
-    yield a polynomial.
-    """
-    table, acc = classical_stirling_table(max(p.degree, 0)), Fraction(0)
-    for m, c in enumerate(p.coeffs):
-        acc = acc + c * bell_via_sum(table, m)
-    return acc
 
 
 def jackson_derivative(coefficients: tuple, q) -> tuple:

@@ -1,8 +1,10 @@
 """Registry of the identity suites behind ``umbraldob verify`` and the sweep script.
 
 Each runner takes a psi-sequence and a depth n_max and returns one Case per
-checked instance.  A runner whose identity has no reference route for the
-sequence kind raises UnsupportedSequenceError before computing anything.
+checked instance; its RUNNERS key names the identity.  A runner whose verdicts
+depend on the sequence puts its label under "seq" in every case, and one whose
+identity has no reference route for the sequence kind raises
+UnsupportedSequenceError before computing anything.
 bell_oracle compares the Bell numbers along every independent route for
 ``umbraldob oracle`` and the sweep script's enumeration line.
 """
@@ -26,16 +28,16 @@ class Case(NamedTuple):
     interval: CertifiedValue | None = None
 
 
-def _series_cases(identity: str, seq: PsiSequence, intervals: list[CertifiedValue], expected) -> list[Case]:
+def _series_cases(seq: PsiSequence, intervals: list[CertifiedValue], expected) -> list[Case]:
     return [
-        Case({"identity": identity, "seq": seq.label, "n": n}, interval.contains(expected[n]), interval)
+        Case({"seq": seq.label, "n": n}, interval.contains(expected[n]), interval)
         for n, interval in enumerate(intervals)
     ]
 
 
 def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
     from .dobinski import falling_moments
-    return _series_cases("falling-moment", seq, falling_moments(seq, range(n_max + 1)), [1] * (n_max + 1))
+    return _series_cases(seq, falling_moments(seq, range(n_max + 1)), [1] * (n_max + 1))
 
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
@@ -50,20 +52,20 @@ def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
         raise UnsupportedSequenceError(
             "identity dobinski needs an exact reference value: use classical or q=<rational>"
         )
-    return _series_cases("dobinski", seq, dobinski_bells(seq, range(n_max + 1)), expected)
+    return _series_cases(seq, dobinski_bells(seq, range(n_max + 1)), expected)
 
 
 def cigl_dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
     from .cigl import cigl_q_bell, cigl_q_dobinski_exact
     return [
-        Case({"identity": "cigl-dobinski", "n": n}, cigl_q_dobinski_exact(n) == cigl_q_bell(n))
+        Case({"n": n}, cigl_q_dobinski_exact(n) == cigl_q_bell(n))
         for n in range(n_max + 1)
     ]
 
 
 def conjugation(seq: PsiSequence, n_max: int) -> list[Case]:
     from .operator_calc import verify_conjugation
-    return [Case({"identity": "conjugation", "max_degree": n_max}, verify_conjugation(n_max))]
+    return [Case({"max_degree": n_max}, verify_conjugation(n_max))]
 
 
 def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
@@ -74,7 +76,7 @@ def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
     # number of steps would still pass; the chain is checked at lam = 2, the mean at lam = 1.
     mean_ok = generating_function_checks(seq, 1, 0)[0].mean_ok
     return [
-        Case({"identity": "pmf-gf", "seq": seq.label, "n": n}, check.coefficient_ok and mean_ok)
+        Case({"seq": seq.label, "n": n}, check.coefficient_ok and mean_ok)
         for n, check in enumerate(generating_function_checks(seq, 2, n_max))
     ]
 
@@ -82,10 +84,7 @@ def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
 def q1_reduction(seq: PsiSequence, n_max: int) -> list[Case]:
     carlitz, classical = carlitz_q_stirling(n_max), classical_stirling_table(n_max)
     return [
-        Case(
-            {"identity": "q1-reduction", "n": n},
-            [entry.evaluate(Fraction(1)) for entry in carlitz.rows[n]] == list(classical.rows[n]),
-        )
+        Case({"n": n}, [entry.evaluate(Fraction(1)) for entry in carlitz.rows[n]] == list(classical.rows[n]))
         for n in range(n_max + 1)
     ]
 
@@ -98,9 +97,6 @@ RUNNERS: dict[str, Callable[[PsiSequence, int], list[Case]]] = {
     "pmf-gf": pmf_gf,
     "q1-reduction": q1_reduction,
 }
-
-# The identities whose verdicts depend on the sequence; the others ignore it.
-PER_SEQUENCE = ("falling-moment", "dobinski", "pmf-gf")
 
 
 class BellRoutes(NamedTuple):

@@ -10,7 +10,8 @@ T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from a seed T(0,0) that
 fixes the ring: left 1 and right k from the int 1 give the classical
 triangle; after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right
 [k]_q from the polynomial 1 give the Carlitz q-analogue.  No table is cached:
-each caller builds the tower it reads and holds it.
+each caller builds the tower it reads and holds it.  poisson_moment_exact, the
+exact moment functional, substitutes the classical row sums for powers of x.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ CUSTOM = "custom"
 class PsiSequence(Record):
     """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
 
-    Its value is (kind, q, values).  Every psi(n) is read from one prefix, which
+    Its value is (kind, q, values); q is None unless the kind is gauss-q, and
+    values is None unless it is custom.  Every psi(n) is read from one prefix, which
     a custom table fills at construction and the other kinds grow from psi(0) = 0.  The
     prefixes of values and factorials grow under its lock, so threads sharing a sequence
     get single-thread results.
@@ -50,6 +52,8 @@ class PsiSequence(Record):
                 raise ValueError("custom sequences must start at 0 and stay positive afterwards")
         elif kind not in (CLASSICAL, FIBONACCI):
             raise ValueError(f"unknown sequence kind {kind!r}")
+        if (q is not None and kind != GAUSS_Q) or (values is not None and kind != CUSTOM):
+            raise ValueError("only gauss-q sequences take q, and only custom sequences take values")
         self._init(kind=kind, q=q, values=values)
         prefix = list(values) if kind == CUSTOM else [Fraction(0)]
         self._init(_prefix=prefix, _factorials=[Fraction(1)], _lock=threading.RLock())
@@ -203,6 +207,19 @@ def bell_via_sum(table: StirlingTable, n: int) -> int | Poly:
     """Row sum of a Stirling table in its own ring: the Bell number or polynomial."""
     first = table.entry(n, 0)  # checks n before the row is read
     return sum(table.rows[n][1:], first)
+
+
+def poisson_moment_exact(p: Poly):
+    """Apply the exact moment functional: substitute the m-th power by the m-th Bell number.
+
+    For scalar coefficients the result is a Fraction; polynomial coefficients
+    (powers of x weighted by q-polynomials) pass through coefficient-wise and
+    yield a polynomial.
+    """
+    table, acc = classical_stirling_table(max(p.degree, 0)), Fraction(0)
+    for m, c in enumerate(p.coeffs):
+        acc = acc + c * bell_via_sum(table, m)
+    return acc
 
 
 def psi_stirling_diagnostic(

@@ -146,7 +146,7 @@ class TestVerifySuites:
 
     def test_failing_verdict_exits_one(self, monkeypatch):
         def broken(seq, n_max):
-            return [Case({"identity": "conjugation", "max_degree": n_max}, False)]
+            return [Case({"max_degree": n_max}, False)]
 
         monkeypatch.setitem(identities.RUNNERS, "conjugation", broken)
         result = invoke("verify", "--identity", "conjugation", "--n-max", "3")
@@ -490,6 +490,11 @@ class TestStartup:
         loaded = loaded_modules("verify", "--identity", "q1-reduction", "--n-max", "3")
         assert "umbraldob.identities" in loaded
         assert not {"umbraldob.cigl", "umbraldob.dobinski", "umbraldob.operator_calc"} & loaded
+
+    def test_cigl_dobinski_loads_no_series_code(self):
+        loaded = loaded_modules("verify", "--identity", "cigl-dobinski", "--n-max", "3")
+        assert {"umbraldob.identities", "umbraldob.cigl"} <= loaded
+        assert not {"umbraldob.dobinski", "umbraldob.operator_calc"} & loaded
 
     def test_cigl_table_loads_no_series_or_identity_code(self):
         loaded = loaded_modules("table", "--kind", "cigl-q-bell", "--n", "3")

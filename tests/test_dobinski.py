@@ -17,7 +17,6 @@ from umbraldob.dobinski import (
     falling_moments,
     generating_function_checks,
     jackson_derivative,
-    poisson_moment_exact,
     psi_exp,
     rota_bell_exact,
     verify_falling_moment,
@@ -26,7 +25,7 @@ from umbraldob.dobinski import (
 from umbraldob.errors import NonConvergentError
 from umbraldob.exact_core import CertifiedValue, Poly, certified_sum
 from umbraldob.identities import RUNNERS
-from umbraldob.umbral_engine import PsiSequence, q_number_symbolic
+from umbraldob.umbral_engine import PsiSequence, poisson_moment_exact, q_number_symbolic
 
 CLASSICAL = PsiSequence.classical()
 FIB = PsiSequence.fibonacci()

@@ -8,7 +8,8 @@ from umbraldob import cigl, dobinski, identities, operator_calc
 from umbraldob.cigl import PARTITION_CAP
 from umbraldob.errors import CapExceededError
 from umbraldob.exact_core import CertifiedValue
-from umbraldob.identities import bell_oracle
+from umbraldob.identities import RUNNERS, bell_oracle
+from umbraldob.umbral_engine import PsiSequence
 
 # B(0..13), OEIS A000110
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597, 27644437]
@@ -66,3 +67,10 @@ class TestBellOracle:
     def test_each_route_alone_fails_its_row(self, route, monkeypatch):
         getattr(self, f"_break_{route}")(monkeypatch)
         assert [row.ok for row in bell_oracle(4)] == [True, True, False, True, True]
+
+
+@pytest.mark.parametrize("name", RUNNERS)
+def test_cases_do_not_name_their_identity(name):
+    # The RUNNERS key is the identity's one name; verify writes it into each record.
+    for seq in (PsiSequence.classical(), PsiSequence.gauss_q(Fraction(1, 2))):
+        assert not [case for case in RUNNERS[name](seq, 3) if "identity" in case.params]

@@ -7,11 +7,20 @@ import pytest
 from umbraldob import cigl, dobinski, identities, operator_calc
 from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.identities import RUNNERS, bell_oracle
-from umbraldob.umbral_engine import PsiSequence, StirlingTable, q_number_symbolic, recurrence_table
+from umbraldob.umbral_engine import (
+    GAUSS_Q,
+    PsiSequence,
+    StirlingTable,
+    bell_via_sum,
+    classical_stirling_table,
+    q_number_symbolic,
+    recurrence_table,
+)
 
 CLASSICAL = PsiSequence.classical()
-SERIES_SEQS = [CLASSICAL, *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "3/2"))]
 REAL_MUL = Poly.__mul__
+REAL_VALUE = PsiSequence.value
+REAL_CERTIFIED_SUM = dobinski.certified_sum
 REAL_PSI_EXP = dobinski.psi_exp
 REAL_COUNTS = cigl.partition_counts
 REAL_MOMENTS = dobinski._moments
@@ -124,10 +133,61 @@ def bell_reference_scaled(factor):
     return mutant
 
 
+def jackson_bracket_q_plus_q(coefficients, q):
+    """The q-difference with [n]_q carried as q*[n-1]_q + q in place of 1 + q*[n-1]_q for n >= 2."""
+    q = Fraction(q)
+    coeffs, bracket = [], Fraction(0)
+    for c in coefficients[1:]:
+        bracket = q * bracket + q if bracket else Fraction(1)
+        coeffs.append(c * bracket)
+    return tuple(coeffs)
+
+
+def cigl_power_shift_q_i_plus_one(n):
+    """The shifted q-power product with factors x + q**(i+1) - 1 in place of x + q**i - 1."""
+    out = Poly((Poly((1,)),))
+    for i in range(n):
+        out = out * Poly((Poly.monomial(1, i + 1) - 1, Poly((1,))))
+    return out
+
+
+def moment_reads_b4_for_x3(p):
+    """The exact moment functional with the Bell number B(4) substituted for x**3."""
+    table, acc = classical_stirling_table(max(p.degree, 4)), Fraction(0)
+    for m, c in enumerate(p.coeffs):
+        acc = acc + c * bell_via_sum(table, 4 if m == 3 else m)
+    return acc
+
+
+def certified_sum_upper_at_quarter(term, ratio_threshold):
+    """certified_sum with its upper end moved to lo + width/4."""
+    sum_ = REAL_CERTIFIED_SUM(term, ratio_threshold)
+    return CertifiedValue(sum_.lo, sum_.lo + sum_.width / 4)
+
+
+def classical_right_weight_k_plus_one_at_4_2(n_max):
+    """The classical triangle with right weight k+1 in place of k at (n, k) = (4, 2)."""
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: k + ((n, k) == (4, 2)), 1)
+
+
+def gauss_psi_5_nudged(self, n):
+    """psi(5) + 2**-20 for a Gauss sequence."""
+    return REAL_VALUE(self, n) + (Fraction(1, 2**20) if self.kind == GAUSS_Q and n == 5 else 0)
+
+
+def series_seqs():
+    """Fresh sequences, so that a patched psi is read from an empty prefix."""
+    return [PsiSequence.classical(), *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "3/2"))]
+
+
 def series_verdicts():
     return [
-        case.ok for name in ("falling-moment", "dobinski") for seq in SERIES_SEQS for case in RUNNERS[name](seq, 12)
+        case.ok for name in ("falling-moment", "dobinski") for seq in series_seqs() for case in RUNNERS[name](seq, 12)
     ]
+
+
+def pmf_gf_verdicts():
+    return [case.ok for seq in series_seqs() for case in RUNNERS["pmf-gf"](seq, 12)]
 
 
 def oracle():
@@ -140,6 +200,18 @@ def conjugation_and_oracle():
 
 def polynomial_towers():
     return [case.ok for name in ("q1-reduction", "cigl-dobinski") for case in RUNNERS[name](CLASSICAL, 10)]
+
+
+def series_and_oracle():
+    return series_verdicts() + oracle()
+
+
+def towers_and_oracle():
+    return polynomial_towers() + oracle()
+
+
+def every_verdict():
+    return series_verdicts() + pmf_gf_verdicts() + conjugation_and_oracle() + polynomial_towers()
 
 
 MUTANTS = [
@@ -191,6 +263,28 @@ MUTANTS = [
     ),
     pytest.param([(cigl, "partition_counts", counts_plus_one)], oracle, id="partition-counts-plus-one"),
     pytest.param([(cigl, "partition_counts", walk_opens_block_off_top)], oracle, id="walk-last-not-top"),
+    pytest.param(
+        [(dobinski, "jackson_derivative", jackson_bracket_q_plus_q)], pmf_gf_verdicts, id="jackson-bracket-q+q"
+    ),
+    pytest.param([(cigl, "cigl_q_power", cigl_power_shift_q_i_plus_one)], polynomial_towers, id="cigl-power-q^(i+1)"),
+    pytest.param([(cigl, "poisson_moment_exact", moment_reads_b4_for_x3)], polynomial_towers, id="moment-b4-for-x^3"),
+    pytest.param(
+        [(dobinski, "certified_sum", certified_sum_upper_at_quarter)], series_and_oracle, id="sum-upper-at-quarter"
+    ),
+    pytest.param(
+        [(identities, "classical_stirling_table", classical_right_weight_k_plus_one_at_4_2)],
+        towers_and_oracle,
+        id="classical-right-k+1-at-4-2",
+    ),
+    pytest.param(
+        [(PsiSequence, "value", gauss_psi_5_nudged)],
+        every_verdict,
+        id="gauss-psi-5-plus-2^-20",
+        marks=pytest.mark.xfail(
+            strict=True,
+            reason="intervals too wide and falling moments blind at λ = 1: killed by ROADMAP items 1 and 2",
+        ),
+    ),
 ]
 
 

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from umbraldob import exact_core
+from umbraldob import exact_core, identities
 from umbraldob.cigl import PARTITION_CAP
+from umbraldob.errors import UnsupportedSequenceError
+from umbraldob.identities import Case
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = str(ROOT / "scripts" / "run_identity_suite.py")
@@ -57,6 +59,29 @@ def test_tiny_sum_cap_is_exit_two(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [SCRIPT, "--n-max", "3"])
     assert runpy.run_path(SCRIPT)["main"]() == 2
     assert "error: no certified truncation point within hard cap 3" in capsys.readouterr().err
+
+
+def gauss_only_failing_runner(seq, n_max):
+    """A per-sequence runner that no list names: it needs a Gauss sequence and fails every case."""
+    if seq.kind != "gauss-q":
+        raise UnsupportedSequenceError("needs q=<rational>")
+    return [Case({"seq": seq.label, "n": n}, False) for n in range(n_max + 1)]
+
+
+def test_per_sequence_runner_is_known_by_its_cases(monkeypatch, capsys):
+    monkeypatch.setitem(identities.RUNNERS, "gauss-only", gauss_only_failing_runner)
+    monkeypatch.setattr(sys, "argv", [SCRIPT, "--n-max", "3"])
+    assert runpy.run_path(SCRIPT)["main"]() == 1
+    out = capsys.readouterr().out
+    lines = out.split("gauss-only (n <= 3)\n")[1].split("enumeration:")[0].splitlines()
+    assert lines == [
+        "  [ -- ] classical  (skipped)",
+        "  [FAIL] q=1/4",
+        "  [FAIL] q=1/2",
+        "  [FAIL] q=3/2",
+        "  [ -- ] fibonacci  (skipped)",
+    ]
+    assert "\n3 failure(s) in " in out
 
 
 def test_depth_past_partition_cap_runs_every_suite():

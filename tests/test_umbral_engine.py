@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_bell, naive_stirling2
-from umbraldob.dobinski import rota_bell_exact
+from umbraldob.dobinski import dobinski_bell, rota_bell_exact
 from umbraldob.errors import OutOfRangeError
-from umbraldob.exact_core import Poly
+from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.umbral_engine import (
     PsiSequence,
     StirlingTable,
@@ -22,6 +22,7 @@ from umbraldob.umbral_engine import (
     classical_stirling_table,
     psi_stirling_diagnostic,
     q_number_symbolic,
+    recurrence_table,
     stirling2,
 )
 
@@ -119,13 +120,27 @@ class TestPsiSequence:
         with pytest.raises(ValueError):
             PsiSequence("lucas")
 
+    @pytest.mark.parametrize(
+        "kind, arguments",
+        [
+            ("classical", {"q": 2}),
+            ("fibonacci", {"q": Fraction(1, 2)}),
+            ("classical", {"values": [0, 1]}),
+            ("gauss-q", {"q": Fraction(1, 2), "values": [0, 5]}),
+            ("custom", {"q": 2, "values": [0, 1]}),
+        ],
+    )
+    def test_argument_its_kind_never_reads_rejected(self, kind, arguments):
+        with pytest.raises(ValueError, match="only gauss-q sequences take q, and only custom sequences take values"):
+            PsiSequence(kind, **arguments)
+
     def test_equal_and_hashed_by_kind_q_values(self):
         half = PsiSequence.gauss_q(Fraction(2, 4))
         half.factorial(12)  # the grown prefixes are not part of the value
         assert half == HALF and hash(half) == hash(HALF)
         assert half.q == Fraction(1, 2) and half.label == "q=1/2"
         assert PsiSequence.custom([0, 1, 2]).label == "custom" and FIB.label == "fibonacci"
-        for seq in (half, PsiSequence.custom([0, 1, 2])):
+        for seq in (half, PsiSequence.custom([0, 1, 2]), CLASSICAL, FIB):
             assert pickle.loads(pickle.dumps(seq)) == seq
         assert PsiSequence.gauss_q(1) != CLASSICAL  # same values, different kind
         assert PsiSequence.custom([0, 1, 2]) == PsiSequence.custom([0, Fraction(1), 2])
@@ -338,3 +353,29 @@ class TestThreadSafety:
         expected = stirling2(60, 30)
         for _ in range(10):
             assert race(lambda: stirling2(60, 30)) == [expected] * 4
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: CLASSICAL.value(-1), "sequence index must be non-negative"),
+        (lambda: CLASSICAL.factorial(-1), "factorial index must be non-negative"),
+        (lambda: CLASSICAL.falling(-1, 0), "falling factorial needs non-negative arguments"),
+        (lambda: q_number_symbolic(-1), "q-bracket index must be non-negative"),
+        (lambda: recurrence_table(-1, lambda n, k: 1, lambda n, k: k, 1), "n_max must be non-negative"),
+        (lambda: stirling2(-1, 0), "stirling2 arguments must be non-negative"),
+        (lambda: psi_stirling_diagnostic(CLASSICAL, -1, 3), "degree must be non-negative"),
+        (lambda: dobinski_bell(CLASSICAL, -1), "n must be non-negative"),
+        (
+            lambda: CertifiedValue(1, 2).div_by_positive(CertifiedValue(0, 1)),
+            "divisor interval must be strictly positive",
+        ),
+    ],
+    ids=[
+        "value", "factorial", "falling", "q_number_symbolic", "recurrence_table", "stirling2",
+        "psi_stirling_diagnostic", "dobinski_bell", "div_by_positive",
+    ],
+)
+def test_argument_check(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
