@@ -18,7 +18,7 @@ _EXPORTS = {  # public name -> the module that defines it
             " generating_function_checks jackson_derivative psi_exp"
             " rota_bell_exact verify_falling_moment verify_pmf_via_generating_function"
         ),
-        "errors": "CapExceededError NegativeTermError NonConvergentError OutOfRangeError UmbralDobError",
+        "errors": "CapExceededError NegativeTermError NonConvergentError UmbralDobError",
         "exact_core": "SUM_CAP CertifiedValue Poly certified_sum",
         "operator_calc": "apply_number_operator dobinski_specialization exponential_polynomial verify_conjugation",
         "umbral_engine": (

@@ -57,7 +57,7 @@ def interval_pair(cv: CertifiedValue) -> list[str]:
 
 
 def parse_sequence(descriptor: str) -> PsiSequence:
-    """Parse: classical | q=<rational> | fibonacci | custom:<comma-separated rationals>."""
+    """Parse: classical | q=<rational> | fibonacci; anything else is an unrecognized sequence."""
     text = descriptor.strip()
     try:
         if text == "classical":
@@ -66,12 +66,6 @@ def parse_sequence(descriptor: str) -> PsiSequence:
             return PsiSequence.fibonacci()
         if text.startswith("q="):
             return PsiSequence.gauss_q(Fraction(text[2:]))
-        if text.startswith("custom:"):
-            body = text[len("custom:"):]
-            parts = [s.strip() for s in body.split(",") if s.strip()]
-            if not parts:
-                raise ValueError("custom sequence needs at least one value")
-            return PsiSequence.custom(Fraction(s) for s in parts)
         raise ValueError(f"unrecognized sequence {descriptor!r}")
     except (ValueError, ZeroDivisionError) as exc:
         message = str(exc) if isinstance(exc, ValueError) else f"zero denominator in sequence {descriptor!r}"

@@ -27,7 +27,6 @@ from .errors import NonConvergentError
 from .exact_core import CertifiedValue, certified_sum
 from .umbral_engine import (
     CLASSICAL,
-    CUSTOM,
     GAUSS_Q,
     PsiSequence,
     bell_via_sum,
@@ -48,13 +47,13 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     toward the summation cap on ever-larger exact rationals.  Below that,
     rho can exceed 1/2 (q=1/4 at lam=1 gives 3/4), and splitting the gap
     toward 1 keeps the threshold reachable while the geometric tail bound
-    stays finite.  Every other built-in kind has ratios that tend to 0.
+    stays finite.  Every other kind has ratios that tend to 0.
 
-    psi never decreases for a built-in kind ([k+1]_q = [k]_q + q**k), so the
-    term ratios lam / psi(k) of exp_psi never rise, and certified_sum can only
+    psi never decreases for any kind ([k+1]_q = [k]_q + q**k), so the term
+    ratios lam / psi(k) of exp_psi never rise, and certified_sum can only
     truncate at a k <= SUM_CAP - MONOTONE_WINDOW with psi(k) * threshold >= lam.
     Where no such k exists, this raises certified_sum's NonConvergentError at
-    once instead of after summing to the cap.  A custom table ends before it.
+    once instead of after summing to the cap.
     """
     lam, thr = Fraction(lam), Fraction(1, 2)
     if lam <= 0:
@@ -68,7 +67,7 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
         thr = max(thr, (1 + rho) / 2)
     cap = exact_core.SUM_CAP
     last = cap - exact_core.MONOTONE_WINDOW  # certified_sum tests no ratio lam / psi(k) past k = last
-    if seq.kind != CUSTOM and not any(seq.value(k) * thr >= lam for k in range(1, last + 1)):
+    if not any(seq.value(k) * thr >= lam for k in range(1, last + 1)):
         raise NonConvergentError(f"no certified truncation point within hard cap {cap}")
     return thr
 
@@ -192,9 +191,12 @@ def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[Genera
     """Check the pmf against its generating function G(t) = sum_k p_k t**k, for n = 0..n_max.
 
     Verdict 1: the n-th q-difference of the series cut after degree n_max, at t = 0,
-    divided by the numeric q-factorial of n, must reproduce the k = n series
-    coefficient exactly.  The common normalizer of the pmf cancels on both
-    sides, so this is an exact equality of rationals and stays meaningful
+    must be lam**n, since D_q e_q(lam*t) = lam * e_q(lam*t); divided by the
+    q-factorial of n built from q_number_symbolic, it must also reproduce the
+    k = n series coefficient exactly.  The first equality reads psi, which the
+    second cancels; the second checks the bracket of jackson_derivative
+    against q_number_symbolic.  The common normalizer of the pmf cancels on
+    both sides, so both are exact equalities of rationals and stay meaningful
     even at lam where the normalizer itself diverges.
 
     Verdict 2 (only at lam = 1, where the mean identity holds): a certified
@@ -226,7 +228,7 @@ def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[Genera
         if n:
             series = jackson_derivative(series, qv)
             q_factorial *= q_number_symbolic(n).evaluate(qv)
-        checks.append(GeneratingFunctionCheck(series[0] / q_factorial == coeffs[n], mean_ok))
+        checks.append(GeneratingFunctionCheck(series[0] == lam**n and series[0] / q_factorial == coeffs[n], mean_ok))
     return checks
 
 

@@ -13,10 +13,6 @@ class NegativeTermError(UmbralDobError):
     """A series term evaluated negative where non-negative terms are required."""
 
 
-class OutOfRangeError(UmbralDobError):
-    """A custom sequence was queried beyond its provided values."""
-
-
 class UnsupportedSequenceError(UmbralDobError):
     """An identity has no reference route for the requested sequence kind."""
 

@@ -1,10 +1,11 @@
 """Admissible psi-sequences and the classical / Carlitz q-Stirling towers.
 
 A psi-sequence assigns an exact rational to every non-negative index, with
-value 0 at index 0 and positive values afterwards.  The built-in kinds are
-the classical integers, the Gauss q-brackets for a positive rational q, the
-Fibonacci numbers, and user-supplied finite tables.  From such a sequence we
-get generalized factorials and falling factorials.  Every Stirling tower
+value 0 at index 0 and positive values afterwards.  The kinds are the
+classical integers, the Gauss q-brackets for a positive rational q and the
+Fibonacci numbers; each is defined at every index and never decreases, so
+every series that reads one has a tail.  From such a sequence we get
+generalized factorials and falling factorials.  Every Stirling tower
 comes from one three-term recurrence builder,
 T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from a seed T(0,0) that
 fixes the ring: left 1 and right k from the int 1 give the classical
@@ -18,45 +19,35 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import OutOfRangeError
 from .exact_core import Poly, Record
 
 CLASSICAL = "classical"
 GAUSS_Q = "gauss-q"
 FIBONACCI = "fibonacci"
-CUSTOM = "custom"
 
 
 class PsiSequence(Record):
     """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
 
-    Its value is (kind, q, values); q is None unless the kind is gauss-q, and
-    values is None unless it is custom.  Every psi(n) is read from one prefix, which
-    a custom table fills at construction and the other kinds grow from psi(0) = 0.  The
-    prefixes of values and factorials grow under its lock, so threads sharing a sequence
-    get single-thread results.
+    Its value is (kind, q); q is None unless the kind is gauss-q.  Every psi(n)
+    is read from one prefix grown from psi(0) = 0.  The prefixes of values and
+    factorials grow under its lock, so threads sharing a sequence get
+    single-thread results.
     """
 
-    __slots__ = ("kind", "q", "values", "_prefix", "_factorials", "_lock")
+    __slots__ = ("kind", "q", "_prefix", "_factorials", "_lock")
 
-    def __init__(self, kind: str, q=None, values: Iterable | None = None):
+    def __init__(self, kind: str, q=None):
         if kind == GAUSS_Q:
             q = Fraction(q)
             if q <= 0:
                 raise ValueError("gauss-q sequences need q > 0")
-        elif kind == CUSTOM:
-            values = tuple(Fraction(v) for v in values or ())
-            if not values or values[0] != 0 or any(v <= 0 for v in values[1:]):
-                raise ValueError("custom sequences must start at 0 and stay positive afterwards")
         elif kind not in (CLASSICAL, FIBONACCI):
             raise ValueError(f"unknown sequence kind {kind!r}")
-        if (q is not None and kind != GAUSS_Q) or (values is not None and kind != CUSTOM):
-            raise ValueError("only gauss-q sequences take q, and only custom sequences take values")
-        self._init(kind=kind, q=q, values=values)
-        prefix = list(values) if kind == CUSTOM else [Fraction(0)]
-        self._init(_prefix=prefix, _factorials=[Fraction(1)], _lock=threading.RLock())
+        elif q is not None:
+            raise ValueError("only gauss-q sequences take q")
+        self._init(kind=kind, q=q, _prefix=[Fraction(0)], _factorials=[Fraction(1)], _lock=threading.RLock())
 
     @classmethod
     def classical(cls) -> "PsiSequence":
@@ -70,25 +61,19 @@ class PsiSequence(Record):
     def fibonacci(cls) -> "PsiSequence":
         return cls(FIBONACCI)
 
-    @classmethod
-    def custom(cls, values: Iterable) -> "PsiSequence":
-        return cls(CUSTOM, values=values)
-
     @property
     def label(self) -> str:
         """The name a record prints: q=<q> for a Gauss sequence, else the kind."""
         return f"q={self.q}" if self.kind == GAUSS_Q else self.kind
 
     def value(self, n: int) -> Fraction:
-        """psi(n); OutOfRangeError past the end of a custom table."""
+        """psi(n), grown from the prefix by the kind's recurrence."""
         if n < 0:
             raise ValueError("sequence index must be non-negative")
         vals = self._prefix
         with self._lock:
             while len(vals) <= n:
                 k = len(vals)
-                if self.kind == CUSTOM:
-                    raise OutOfRangeError(f"custom sequence has {k} values, index {n} requested")
                 if self.kind == CLASSICAL:
                     vals.append(Fraction(k))
                 elif self.kind == FIBONACCI:
@@ -113,7 +98,7 @@ class PsiSequence(Record):
             raise ValueError("falling factorial needs non-negative arguments")
         if k == 0:
             return Fraction(1)
-        self.value(x)  # grows the prefix through x, or raises past a custom table
+        self.value(x)  # grows the prefix through x
         if k > x:
             return Fraction(0)
         num = den = 1  # one reduction at the end instead of one per factor

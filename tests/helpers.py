@@ -102,12 +102,13 @@ def naive_q_difference(coefficients, q, n):
     return cs
 
 
-def naive_gf_coefficient_verdict(coefficients, q, n):
-    """Does the n-th q-difference at t = 0, over the power-sum q-factorial of n, give coefficient n?"""
+def naive_gf_coefficient_verdict(coefficients, q, n, lam):
+    """Is the n-th q-difference at t = 0 lam**n, and over the power-sum q-factorial of n, coefficient n?"""
     q_factorial = Fraction(1)
     for m in range(1, n + 1):
         q_factorial *= sum(Fraction(q) ** j for j in range(m))
-    return naive_q_difference(coefficients, q, n)[0] / q_factorial == coefficients[n]
+    head = naive_q_difference(coefficients, q, n)[0]
+    return head == Fraction(lam) ** n and head / q_factorial == coefficients[n]
 
 
 def division_certified_sum(term, ratio_threshold, cap=10_000):

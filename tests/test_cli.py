@@ -153,17 +153,13 @@ class TestVerifySuites:
         assert result.exit_code == 1
         assert "fail" in result.output
 
-    def test_custom_sequence_accepted(self):
-        result = invoke(
-            "verify",
-            "--identity",
-            "falling-moment",
-            "--seq",
-            "custom:0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25",
-            "--n-max",
-            "2",
-        )
-        assert result.exit_code == 0, result.stderr
+    def test_custom_sequence_rejected(self):
+        # a finite table has no values past its end, so no series over it has a tail bound
+        table = "custom:" + ",".join(str(k) for k in range(26))
+        result = invoke("verify", "--identity", "falling-moment", "--seq", table, "--n-max", "2")
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == f"error: unrecognized sequence '{table}'\n"
 
 
 def test_identity_choices_match_registry():
@@ -319,9 +315,9 @@ class TestBadInput:
         assert "diverges" in result.stderr
 
     def test_zero_denominator_names_the_descriptor(self):
-        result = invoke("dist", "--seq", "custom:0,1/0")
+        result = invoke("dist", "--seq", "q=1/0")
         assert result.exit_code == 2
-        assert result.stderr == "error: zero denominator in sequence 'custom:0,1/0'\n"
+        assert result.stderr == "error: zero denominator in sequence 'q=1/0'\n"
 
 
 class TestUsage:

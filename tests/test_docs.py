@@ -1,4 +1,4 @@
-"""Every command that README.md and the module docstrings show runs and exits 0."""
+"""Every command that README.md and the module docstrings show runs and exits 0, and every --seq syntax parses."""
 
 import ast
 import os
@@ -18,6 +18,7 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 SCRIPT = "scripts/run_identity_suite.py"
 SCRIPT_DOC = ast.get_docstring(ast.parse((ROOT / SCRIPT).read_text(encoding="utf-8")))
 README_CLI_BLOCK = re.search(r"## CLI\n.*?```sh\n(.*?)```", README, re.S).group(1)
+README_SEQ_TABLE = re.search(r"Sequence grammar for `--seq`:\n\n(.*?)\n\n", README, re.S).group(1)
 
 
 def commands(text: str, prefix: str) -> list[str]:
@@ -53,3 +54,11 @@ def test_script_command_runs(command):
         [sys.executable, *shlex.split(command)[1:]], cwd=ROOT, capture_output=True, text=True, env=env, timeout=120
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_sequence_grammar_parses():
+    # the placeholder stands for the rational that the row's own example uses
+    syntaxes = re.findall(r"^\| `(.+?)` \|", README_SEQ_TABLE, re.M)
+    assert syntaxes
+    for syntax in syntaxes:
+        cli.parse_sequence(syntax.replace("<rational>", "1/2"))

@@ -73,7 +73,7 @@ CASES = (
     + [({}, ("dist", "--k-max", "0"))]
     + [({}, ("oracle", "--n", str(n), "--format", fmt)) for n in (0, 5, 7) for fmt in FORMATS]
     + [
-        # exit 2: no reference value, short custom tables, bad input, divergence, caps
+        # exit 2: no reference value, the retired custom: grammar, bad input, divergence, caps
         ({}, ("verify", "--identity", "dobinski", "--seq", "fibonacci")),
         ({}, ("verify", "--identity", "pmf-gf", "--seq", "fibonacci")),
         ({}, ("verify", "--identity", "dobinski", "--seq", CUSTOM_4)),
@@ -99,7 +99,7 @@ CASES = (
     + [({}, ("oracle", "--n", "10", "--format", "csv"))]
 )
 
-SWEEP_SEQS = ("classical", "fibonacci", "q=1/4", "q=17/16", CUSTOM_26)
+SWEEP_SEQS = ("classical", "fibonacci", "q=1/4", "q=17/16")
 SWEEP_N_MAX = 12
 
 

@@ -175,6 +175,11 @@ def gauss_psi_5_nudged(self, n):
     return REAL_VALUE(self, n) + (Fraction(1, 2**20) if self.kind == GAUSS_Q and n == 5 else 0)
 
 
+def factorial_n_squared_plus_7_thirds(self, n):
+    """The psi-factorial read as (n**2 + 7)/3."""
+    return Fraction(n * n + 7, 3)
+
+
 def series_seqs():
     """Fresh sequences, so that a patched psi is read from an empty prefix."""
     return [PsiSequence.classical(), *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/4", "1/2", "3/2"))]
@@ -188,6 +193,11 @@ def series_verdicts():
 
 def pmf_gf_verdicts():
     return [case.ok for seq in series_seqs() for case in RUNNERS["pmf-gf"](seq, 12)]
+
+
+def pmf_gf_coefficient_verdicts():
+    """The chain verdicts of pmf-gf at lam = 2 alone: a wrong factorial leaves the lam = 1 mean no truncation point."""
+    return [check.coefficient_ok for seq in series_seqs() for check in dobinski.generating_function_checks(seq, 2, 12)]
 
 
 def oracle():
@@ -276,14 +286,11 @@ MUTANTS = [
         towers_and_oracle,
         id="classical-right-k+1-at-4-2",
     ),
+    pytest.param([(PsiSequence, "value", gauss_psi_5_nudged)], every_verdict, id="gauss-psi-5-plus-2^-20"),
     pytest.param(
-        [(PsiSequence, "value", gauss_psi_5_nudged)],
-        every_verdict,
-        id="gauss-psi-5-plus-2^-20",
-        marks=pytest.mark.xfail(
-            strict=True,
-            reason="intervals too wide and falling moments blind at λ = 1: killed by ROADMAP items 1 and 2",
-        ),
+        [(PsiSequence, "factorial", factorial_n_squared_plus_7_thirds)],
+        pmf_gf_coefficient_verdicts,
+        id="psi-factorial-(n^2+7)/3",
     ),
 ]
 

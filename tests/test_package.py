@@ -16,14 +16,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 EXPORTS = [
     "CapExceededError", "CertifiedValue", "GeneratingFunctionCheck", "NegativeTermError", "NonConvergentError",
-    "OutOfRangeError", "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence", "SUM_CAP",
-    "StirlingTable", "UmbralDobError", "apply_number_operator", "bell_via_sum", "carlitz_q_stirling",
-    "certified_sum", "cigl_q_bell", "cigl_q_dobinski_exact", "cigl_q_power", "cigl_q_stirling_table",
-    "classical_stirling_table", "default_ratio_threshold", "dobinski_bell", "dobinski_specialization",
-    "enumerate_partitions", "exponential_polynomial", "generating_function_checks", "jackson_derivative",
-    "partition_counts", "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic",
-    "q_number_symbolic", "recurrence_table", "rota_bell_exact", "stirling2", "verify_conjugation",
-    "verify_falling_moment", "verify_pmf_via_generating_function",
+    "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence", "SUM_CAP", "StirlingTable", "UmbralDobError",
+    "apply_number_operator", "bell_via_sum", "carlitz_q_stirling", "certified_sum", "cigl_q_bell",
+    "cigl_q_dobinski_exact", "cigl_q_power", "cigl_q_stirling_table", "classical_stirling_table",
+    "default_ratio_threshold", "dobinski_bell", "dobinski_specialization", "enumerate_partitions",
+    "exponential_polynomial", "generating_function_checks", "jackson_derivative", "partition_counts",
+    "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic", "q_number_symbolic", "recurrence_table",
+    "rota_bell_exact", "stirling2", "verify_conjugation", "verify_falling_moment",
+    "verify_pmf_via_generating_function",
 ]
 
 

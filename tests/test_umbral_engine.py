@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from helpers import naive_bell, naive_stirling2
 from umbraldob.dobinski import dobinski_bell, rota_bell_exact
-from umbraldob.errors import OutOfRangeError
 from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.umbral_engine import (
     PsiSequence,
@@ -76,7 +75,6 @@ class TestPsiSequence:
         + [
             PsiSequence.gauss_q(Fraction(11, 16)),
             PsiSequence.gauss_q(Fraction(17, 16)),
-            PsiSequence.custom([0] + [Fraction(3 * j + 1, j % 7 + 2) for j in range(1, 41)]),
         ],
         ids=lambda seq: seq.label,
     )
@@ -91,47 +89,40 @@ class TestPsiSequence:
                 assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
                 assert (got == 0) == (k == x + 1)
 
-    def test_custom_sequence(self):
-        seq = PsiSequence.custom([0, 1, Fraction(3, 2), 2])
-        assert seq.value(2) == Fraction(3, 2)
-        assert seq.factorial(3) == 3
-        with pytest.raises(OutOfRangeError):
-            seq.value(4)
-        with pytest.raises(OutOfRangeError):
-            seq.falling(5, 7)  # past the table even where the product would be 0
-        with pytest.raises(OutOfRangeError) as exc:
-            seq.factorial(4)
-        assert str(exc.value) == "custom sequence has 4 values, index 4 requested"
-        assert seq.value(3) == 2  # a failed read leaves the table as it was
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            CLASSICAL,
+            FIB,
+            *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/16", "1/4", "1/2", "11/16", "1", "17/16", "3/2")),
+        ],
+        ids=lambda seq: seq.label,
+    )
+    def test_never_decreases(self, seq):
+        # default_ratio_threshold's fail-fast scan rests on this: the ratios lam / psi(k) never rise
+        values = [seq.value(k) for k in range(302)]
+        assert all(a <= b for a, b in zip(values, values[1:]))
 
     def test_admissibility_rejected(self):
-        with pytest.raises(ValueError):
-            PsiSequence.custom([1, 2])
-        with pytest.raises(ValueError):
-            PsiSequence.custom([0, 0, 1])
-        with pytest.raises(ValueError):
-            PsiSequence.custom([])
         with pytest.raises(ValueError):
             PsiSequence.gauss_q(0)
         with pytest.raises(ValueError):
             PsiSequence.gauss_q(Fraction(-1, 2))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            PsiSequence("lucas")
+        for kind in ("lucas", "custom"):
+            with pytest.raises(ValueError, match=f"unknown sequence kind '{kind}'"):
+                PsiSequence(kind)
 
     @pytest.mark.parametrize(
         "kind, arguments",
         [
             ("classical", {"q": 2}),
             ("fibonacci", {"q": Fraction(1, 2)}),
-            ("classical", {"values": [0, 1]}),
-            ("gauss-q", {"q": Fraction(1, 2), "values": [0, 5]}),
-            ("custom", {"q": 2, "values": [0, 1]}),
         ],
     )
     def test_argument_its_kind_never_reads_rejected(self, kind, arguments):
-        with pytest.raises(ValueError, match="only gauss-q sequences take q, and only custom sequences take values"):
+        with pytest.raises(ValueError, match="only gauss-q sequences take q"):
             PsiSequence(kind, **arguments)
 
     def test_equal_and_hashed_by_kind_q_values(self):
@@ -139,20 +130,18 @@ class TestPsiSequence:
         half.factorial(12)  # the grown prefixes are not part of the value
         assert half == HALF and hash(half) == hash(HALF)
         assert half.q == Fraction(1, 2) and half.label == "q=1/2"
-        assert PsiSequence.custom([0, 1, 2]).label == "custom" and FIB.label == "fibonacci"
-        for seq in (half, PsiSequence.custom([0, 1, 2]), CLASSICAL, FIB):
+        assert repr(half) == "PsiSequence(kind='gauss-q', q=Fraction(1, 2))" and FIB.label == "fibonacci"
+        for seq in (half, CLASSICAL, FIB):
             assert pickle.loads(pickle.dumps(seq)) == seq
         assert PsiSequence.gauss_q(1) != CLASSICAL  # same values, different kind
-        assert PsiSequence.custom([0, 1, 2]) == PsiSequence.custom([0, Fraction(1), 2])
-        assert PsiSequence.custom([0, 1, 2]) != PsiSequence.custom([0, 1, 3])
         assert len({CLASSICAL, PsiSequence.classical(), FIB, HALF, half}) == 3
 
     def test_immutable(self):
         seq = PsiSequence.gauss_q(Fraction(1, 3))
-        for name, value in (("kind", "classical"), ("q", Fraction(1, 2)), ("values", (0, 1)), ("label", "x")):
+        for name, value in (("kind", "classical"), ("q", Fraction(1, 2)), ("label", "x")):
             with pytest.raises(AttributeError):
                 setattr(seq, name, value)
-        assert (seq.kind, seq.q, seq.values, seq.label) == ("gauss-q", Fraction(1, 3), None, "q=1/3")
+        assert (seq.kind, seq.q, seq.label) == ("gauss-q", Fraction(1, 3), "q=1/3")
 
     def test_gauss_q_one_matches_classical(self):
         one = PsiSequence.gauss_q(1)
@@ -341,12 +330,11 @@ def race(fn, workers=4):
 class TestThreadSafety:
     def test_fresh_sequence_factorial(self):
         for trial in range(10):
-            # a q no other test uses, so every trial starts from empty prefixes; the custom
-            # table of the same 41 values starts with every value and no factorial past 0
+            # a q no other test uses, so every trial starts from empty prefixes
             q = Fraction(1000 + trial, 997)
             values = [q_number_symbolic(k).evaluate(q) for k in range(41)]
-            for seq in (PsiSequence.gauss_q(q), PsiSequence.custom(values)):
-                assert race(lambda: seq.factorial(40)) == [prod(values[1:])] * 4
+            seq = PsiSequence.gauss_q(q)
+            assert race(lambda: seq.factorial(40)) == [prod(values[1:])] * 4
 
     def test_stirling_rows(self):
         # No table is shared between calls, so racing threads each build their own tower.
