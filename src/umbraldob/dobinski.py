@@ -49,11 +49,20 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     toward 1 keeps the threshold reachable while the geometric tail bound
     stays finite.  Every other kind has ratios that tend to 0.
 
-    psi never decreases for any kind ([k+1]_q = [k]_q + q**k), so the term
-    ratios lam / psi(k) of exp_psi never rise, and certified_sum can only
-    truncate at a k <= SUM_CAP - MONOTONE_WINDOW with psi(k) * threshold >= lam.
-    Where no such k exists, this raises certified_sum's NonConvergentError at
-    once instead of after summing to the cap.
+    It is also the one place that proves certified_sum's tail bound: past
+    the truncation point, no term ratio of a series the package sums rises.
+    - Ratio c / psi(j), which never rises because psi never decreases
+      ([k+1]_q = [k]_q + q**k): lam / psi(k+1) for exp_psi, 1 / psi(k-n+1)
+      for falling row n, and 1 / psi(k) for the pmf-gf mean.
+    - Power row n, (psi(k+1)/psi(k))**n / psi(k+1).  Classical and Gauss psi
+      are log-concave: psi(k)**2 - psi(k-1)*psi(k+1) is 1 or q**(k-1).  For
+      Fibonacci, Cassini's identity bounds psi(k+2)*psi(k)/psi(k+1)**2 by
+      1 + 1/psi(k+1)**2, and psi(k+2)/psi(k+1) >= 3/2 for k >= 1, so the
+      ratio can rise only while psi(k+1)**2 < n/ln(3/2); a truncation point
+      K at threshold 1/2 and lam = 1 has psi(K+1) >= 2*(3/2)**n, past that.
+    Each ratio is at least lam / psi(k+1) (the rows are summed at lam = 1),
+    so where no psi(k) * threshold reaches lam for k <= SUM_CAP, this raises
+    certified_sum's NonConvergentError at once instead of after summing.
     """
     lam, thr = Fraction(lam), Fraction(1, 2)
     if lam <= 0:
@@ -66,8 +75,7 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
             )
         thr = max(thr, (1 + rho) / 2)
     cap = exact_core.SUM_CAP
-    last = cap - exact_core.MONOTONE_WINDOW  # certified_sum tests no ratio lam / psi(k) past k = last
-    if not any(seq.value(k) * thr >= lam for k in range(1, last + 1)):
+    if not any(seq.value(k) * thr >= lam for k in range(1, cap + 1)):
         raise NonConvergentError(f"no certified truncation point within hard cap {cap}")
     return thr
 

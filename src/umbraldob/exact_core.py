@@ -17,7 +17,6 @@ from .errors import NegativeTermError, NonConvergentError
 Scalar = Union[int, Fraction]
 
 SUM_CAP = 10_000  # no series term past this index is ever read
-MONOTONE_WINDOW = 8
 
 
 class Poly:
@@ -177,65 +176,38 @@ class CertifiedValue(Record):
 def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> CertifiedValue:
     """Bracket the sum of a non-negative series between exact rationals.
 
-    The series is truncated at the first index K (past any leading zero
-    terms) where term(K+1)/term(K) <= ratio_threshold and the term ratios
-    stay non-increasing over the next MONOTONE_WINDOW (8) steps.  The tail
-    beyond K is then bounded by the geometric series at the threshold ratio,
-    giving [S_K, S_K + 2*term(K+1)] for thresholds up to 1/2 and
-    [S_K, S_K + term(K+1)/(1-threshold)] above that.  The threshold is the
-    caller's: every series of the package takes it from
-    dobinski.default_ratio_threshold.  term is called for k = 0, 1, 2, ...
-    in turn, once each, so a caller may keep the terms it was asked for.
-    No rationals are divided: the ratio tests cross-multiply integers,
-    reading 0/0 as 0 and x/0 (x > 0) as infinite.
-
-    The window check is a monotonicity heuristic: a series whose ratios
-    resume growing beyond the window defeats it.  The factorial-type series
-    this package sums all have eventually decreasing ratios, and the test
-    suite cross-checks every interval against independent routes.
+    The series is truncated at the first index K with term(K) > 0 (so past
+    any leading zero terms) and term(K+1)/term(K) <= ratio_threshold.  The
+    tail beyond K is then bounded by the geometric series at the threshold
+    ratio, giving [S_K, S_K + 2*term(K+1)] for thresholds up to 1/2 and
+    [S_K, S_K + term(K+1)/(1-threshold)] above that.  The bound is a proof
+    only if no term ratio past K rises above term(K+1)/term(K); the caller
+    owns that premise, and no term past K + 1 is read.  Every series of the
+    package takes its threshold from dobinski.default_ratio_threshold,
+    which states why the premise holds for each of them.  term is called
+    for k = 0, 1, 2, ... in turn, once each, so a caller may keep the terms
+    it was asked for.  No rationals are divided: the ratio test
+    cross-multiplies integers.
 
     Raises NegativeTermError on a negative term and NonConvergentError when
-    no truncation point qualifies without reading a term past index SUM_CAP,
-    the window included.
+    no truncation point qualifies without reading a term past index SUM_CAP;
+    a series whose terms up to SUM_CAP all vanish sums to [0, 0].
     """
     thr = Fraction(ratio_threshold)
     if not 0 < thr < 1:
         raise ValueError("ratio_threshold must lie strictly between 0 and 1")
     cap = SUM_CAP
-
-    terms: list[Fraction] = []
-
-    def t(k: int) -> Fraction:
-        while len(terms) <= k:
-            v = term(len(terms))
-            v = v if isinstance(v, Fraction) else Fraction(v)
-            if v.numerator < 0:
-                raise NegativeTermError(f"term({len(terms)}) = {v} is negative")
-            terms.append(v)
-        return terms[k]
-
-    support = next((k for k in range(cap + 1) if t(k).numerator), None)
-    if support is None:
-        # Identically zero as far as the cap allows us to look.
-        return CertifiedValue(Fraction(0), Fraction(0))
-
-    def above_threshold(j: int) -> bool:  # term(j+1)/term(j) > thr
-        a, b = t(j), t(j + 1)
-        return b.numerator * a.denominator * thr.denominator > thr.numerator * a.numerator * b.denominator
-
-    def ratio_rises(j: int) -> bool:  # term(j+2)/term(j+1) > term(j+1)/term(j)
-        a, b, c = terms[j : j + 3]
-        if not b:  # the left ratio is 0, the right one 0 or infinite
-            return c > 0
-        # c*a > b*b; at a = 0 the left ratio is infinite and this is false
-        return c.numerator * a.numerator * b.denominator**2 > b.numerator**2 * c.denominator * a.denominator
-
     tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
-    for k in range(support, cap - MONOTONE_WINDOW):
-        if above_threshold(k):
-            continue
-        t(k + 1 + MONOTONE_WINDOW)  # the window reads this far before it decides, at most index cap
-        if not any(ratio_rises(j) for j in range(k, k + MONOTONE_WINDOW)):
-            partial = sum(terms[: k + 1], Fraction(0))
-            return CertifiedValue(partial, partial + tail_factor * t(k + 1))
+    partial = last = Fraction(0)
+    for k in range(cap + 1):
+        v = term(k)
+        v = v if isinstance(v, Fraction) else Fraction(v)
+        if v.numerator < 0:
+            raise NegativeTermError(f"term({k}) = {v} is negative")
+        # K = k - 1 once term(k)/term(k-1) <= thr, with term(k-1) > 0
+        if last and v.numerator * last.denominator * thr.denominator <= thr.numerator * last.numerator * v.denominator:
+            return CertifiedValue(partial, partial + tail_factor * v)
+        partial, last = partial + v, v
+    if not partial:  # identically zero as far as the cap lets us look
+        return CertifiedValue(0, 0)
     raise NonConvergentError(f"no certified truncation point within hard cap {cap}")

@@ -116,9 +116,8 @@ def division_certified_sum(term, ratio_threshold, cap=10_000):
 
     The ratio term(j+1)/term(j) is a Fraction, with 0/0 read as 0 and x/0 as
     infinite, and K is the first index past the leading zeros whose ratio is
-    at most the threshold while the next MONOTONE_WINDOW (8) ratios do not
-    increase.  No term past index cap is read, the window's included, so
-    the last K tried is cap - 9.  Returns the interval as a (lo, hi) pair.
+    at most the threshold.  No term past index cap is read, so the last K
+    tried is cap - 1.  Returns the interval as a (lo, hi) pair.
     """
     thr = Fraction(ratio_threshold)
     terms = []
@@ -142,12 +141,8 @@ def division_certified_sum(term, ratio_threshold, cap=10_000):
         return b / a
 
     tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
-    for k in range(support, cap - 8):
-        r = ratio(k)
-        if r > thr:
-            continue
-        window = [r] + [ratio(j) for j in range(k + 1, k + 9)]
-        if all(window[i + 1] <= window[i] for i in range(8)):
+    for k in range(support, cap):
+        if ratio(k) <= thr:
             partial = sum(terms[: k + 1], Fraction(0))
             return partial, partial + tail_factor * t(k + 1)
     raise NonConvergentError(f"no certified truncation point within hard cap {cap}")

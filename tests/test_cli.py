@@ -395,12 +395,12 @@ class TestSummationCapPlumbing:
         ids=" ".join,
     )
     def test_small_cap_turns_into_exit_two(self, monkeypatch, args):
-        # dist's series truncates at K = 1, but only once its window has read index 10
-        monkeypatch.setattr(exact_core, "SUM_CAP", 3)
+        # dist's series truncates at K = 1 after reading index 2, so only a cap below 2 stops it
+        monkeypatch.setattr(exact_core, "SUM_CAP", 1)
         result = invoke(*args)
         assert result.exit_code == 2
         assert result.stdout == ""
-        assert result.stderr == "error: no certified truncation point within hard cap 3\n"
+        assert result.stderr == "error: no certified truncation point within hard cap 1\n"
 
     def test_generous_cap_unchanged(self, monkeypatch):
         monkeypatch.setattr(exact_core, "SUM_CAP", 500)
@@ -408,7 +408,7 @@ class TestSummationCapPlumbing:
         assert result.exit_code == 0
 
     def test_lambda_past_the_cap_fails_before_summing(self, monkeypatch):
-        # exp_psi(lam) truncates only where psi(k)/2 >= lam for some k <= SUM_CAP - 8: k = 92 reaches 46
+        # exp_psi(lam) truncates only where psi(k)/2 >= lam for some k <= SUM_CAP: k = 100 reaches 50
         calls, real = [], dobinski.certified_sum
 
         def counting(*args):
@@ -417,10 +417,10 @@ class TestSummationCapPlumbing:
 
         monkeypatch.setattr(exact_core, "SUM_CAP", 100)
         monkeypatch.setattr(dobinski, "certified_sum", counting)
-        result = invoke("dist", "--lambda", "93/2", "--k-max", "0")
+        result = invoke("dist", "--lambda", "101/2", "--k-max", "0")
         assert (result.exit_code, result.stdout, calls) == (2, "", [])
         assert result.stderr == "error: no certified truncation point within hard cap 100\n"
-        assert invoke("dist", "--lambda", "46", "--k-max", "0").exit_code == 0
+        assert invoke("dist", "--lambda", "50", "--k-max", "0").exit_code == 0
 
     def test_large_lambda_fails_fast(self):
         start = time.perf_counter()

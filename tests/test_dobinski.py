@@ -85,6 +85,54 @@ class TestDefaultThreshold:
         assert thresholds and set(thresholds) == {default_ratio_threshold(seq, lam)}
 
 
+class TestTailLemma:
+    # The sequences of the lemma in default_ratio_threshold: every kind, Gauss at q below, at and above 1.
+    SEQS = [
+        CLASSICAL,
+        FIB,
+        *(PsiSequence.gauss_q(Fraction(q)) for q in ("1/16", "1/4", "1/2", "11/16", "15/16", "1", "17/16", "3/2", "3")),
+    ]
+
+    @pytest.mark.parametrize("seq", SEQS, ids=lambda seq: seq.label)
+    def test_no_ratio_rises_past_the_truncation_index(self, monkeypatch, seq):
+        # certified_sum's tail bound is a proof only if no term ratio past its truncation index K rises:
+        # each series the package sums is read through a recording stand-in, its ratios up to K are
+        # checked against the lemma's formula, and the formula is followed 200 terms past K
+        reads, real = [], dobinski.certified_sum
+
+        def recording(term, thr):
+            values = []
+            reads.append(values)
+
+            def kept(k):
+                values.append(term(k))
+                return values[-1]
+
+            return real(kept, thr)
+
+        monkeypatch.setattr(dobinski, "certified_sum", recording)
+        psi, ns, series = seq.value, range(31), []
+        for lam in (Fraction(1, 3), Fraction(1), Fraction(2)):
+            if seq.q is None or seq.q >= 1 or lam * (1 - seq.q) < 1:
+                psi_exp(seq, lam)
+                series.append((f"exp_psi({lam})", lambda k, lam=lam: lam / psi(k + 1), reads[-1]))
+        falling_moments(seq, ns)
+        series += [(f"falling row {n}", lambda k, n=n: 1 / psi(k - n + 1), v) for n, v in zip(ns, reads[-31:])]
+        dobinski_bells(seq, ns)
+        series += [
+            (f"power row {n}", lambda k, n=n: (psi(k + 1) / psi(k)) ** n / psi(k + 1) if n else 1 / psi(k + 1), v)
+            for n, v in zip(ns, reads[-31:])
+        ]
+        if seq != FIB:
+            generating_function_checks(seq, 1, 0)
+            series.append(("pmf-gf mean", lambda k: 1 / psi(k), reads[-1]))
+        for name, ratio, values in series:
+            last = len(values) - 2  # the truncation index: certified_sum reads no term past it + 1
+            assert all(values[k + 1] / values[k] == ratio(k) for k in range(last + 1) if values[k]), name
+            ratios = [ratio(k) for k in range(last, last + 201)]
+            assert all(b <= a for a, b in zip(ratios, ratios[1:])), name
+
+
 class TestPsiExp:
     def test_classical_brackets_e(self):
         got = psi_exp(CLASSICAL, 1)

@@ -146,19 +146,21 @@ class TestCertifiedSum:
         assert got.contains(partial_sum(term, 60))
 
     def test_terms_are_asked_for_in_turn(self):
-        # a moment sweep keeps the terms of one row, in the order asked for, to build the next
+        # a moment sweep keeps the terms of one row, in the order asked for, to build the next;
+        # the ratios 1, 1/2 after five zeros truncate at K = 6, and no term past K + 1 is read
         asked = []
 
         def term(k):
             asked.append(k)
             return Fraction(1, factorial(k - 5)) if k >= 5 else Fraction(0)
 
-        certified_sum(term, Fraction(1, 2))
-        assert asked == list(range(len(asked)))
+        got = certified_sum(term, Fraction(1, 2))
+        assert got == CertifiedValue(2, 3)
+        assert asked == list(range(6 + 2))
 
     def test_negative_term_rejected(self):
         with pytest.raises(NegativeTermError):
-            certified_sum(lambda k: Fraction(-1) if k == 3 else Fraction(1, factorial(k)), Fraction(1, 2))
+            certified_sum(lambda k: Fraction(-1) if k == 2 else Fraction(1, factorial(k)), Fraction(1, 2))
 
     def test_divergent_series_hits_cap(self, monkeypatch):
         monkeypatch.setattr(exact_core, "SUM_CAP", 200)
@@ -184,14 +186,14 @@ class TestCertifiedSum:
         assert max(asked) <= 3
 
     def test_cap_is_the_last_index_read(self, monkeypatch):
-        # 1/k! at threshold 1/2 truncates at K = 1 once its window has read index 1 + 1 + 8 = 10
+        # 1/k! at threshold 1/2 truncates at K = 1 once it has read index K + 1 = 2
         def series(k):
             return Fraction(1, factorial(k))
 
-        monkeypatch.setattr(exact_core, "SUM_CAP", 10)
+        monkeypatch.setattr(exact_core, "SUM_CAP", 2)
         assert certified_sum(series, Fraction(1, 2)) == CertifiedValue(Fraction(2), Fraction(3))
-        monkeypatch.setattr(exact_core, "SUM_CAP", 9)
-        with pytest.raises(NonConvergentError, match="within hard cap 9$"):
+        monkeypatch.setattr(exact_core, "SUM_CAP", 1)
+        with pytest.raises(NonConvergentError, match="within hard cap 1$"):
             certified_sum(series, Fraction(1, 2))
 
     @pytest.mark.parametrize(

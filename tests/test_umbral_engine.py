@@ -103,6 +103,24 @@ class TestPsiSequence:
         values = [seq.value(k) for k in range(302)]
         assert all(a <= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            CLASSICAL,
+            FIB,
+            *(
+                PsiSequence.gauss_q(Fraction(q))
+                for q in ("1/16", "1/4", "1/2", "11/16", "15/16", "1", "17/16", "3/2", "3")
+            ),
+        ],
+        ids=lambda seq: seq.label,
+    )
+    def test_log_concavity_defect(self, seq):
+        # default_ratio_threshold's tail lemma: classical and Gauss psi are log-concave, Fibonacci by Cassini nearly
+        for k in range(1, 301):
+            defect = (-1) ** (k - 1) if seq == FIB else (seq.q or 1) ** (k - 1)
+            assert seq.value(k) ** 2 - seq.value(k - 1) * seq.value(k + 1) == defect, k
+
     def test_admissibility_rejected(self):
         with pytest.raises(ValueError):
             PsiSequence.gauss_q(0)
