@@ -10,11 +10,14 @@ ones, yet satisfy their own exact Dobinski-type identity, checked here by
 expanding a product of shifted powers and substituting Bell numbers.  The
 weighted counts T(n,k) over k-block partitions obey the recurrence
 T(n+1,k) = T(n,k-1) + (q**n + k - 1)*T(n,k) from T(0,0) = 1, and the tower
-is built from it; enumeration stays the independent check.
+is built from it; enumeration stays the independent check.  The oracle's
+counts walk the strings level by level and keep one byte per string, its
+block count, never the string itself.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator
 
 from .errors import CapExceededError
@@ -63,39 +66,35 @@ def enumerate_partitions(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(a)
 
 
-def partition_counts(n: int) -> list[int]:
-    """Number of restricted growth strings of each length 0..n, from one depth-first walk.
+def _levels(n: int) -> Iterator[bytes]:
+    """Levels 0..n-1 of the restricted growth string tree, one byte per string: its block count.
 
-    A string with top blocks has top + 1 extensions, one per last entry in
-    range(top + 1); the entry top opens a new block.  The walk keeps only
-    (length, top) and builds no tuple.  A string of length <= n - 2 is one
-    call: it adds its top + 1 extensions to the next length and recurses.
-    A string of length n - 1 is one iteration of its parent's loop and adds
-    its own extensions to counts[n], so a string of length n is counted as
-    an extension and never visited.  No count comes from a formula over
-    more than one level, and nothing is memoized: counts[m] is the Bell
-    number B(m) by brute force, sharing no code with the recurrences or the
-    series.
+    A string with t blocks has t + 1 extensions: the last entries 0..t-1
+    keep t blocks and the entry t opens block t + 1.  So level m + 1 is each
+    string of level m replaced by its row of an extension table, in
+    lexicographic order.  No block count exceeds PARTITION_CAP, so each fits
+    in a byte.
+    """
+    table = [bytes([t]) * t + bytes([t + 1]) for t in range(n)]
+    level = bytes(1)  # the empty string, with no blocks
+    for m in range(n):
+        if m:
+            level = bytes(chain.from_iterable(map(table.__getitem__, level)))
+        yield level
+
+
+def partition_counts(n: int) -> list[int]:
+    """Number of restricted growth strings of each length 0..n, from one level-by-level walk.
+
+    Every string of length <= n - 1 is built once, as one byte of _levels(n),
+    and counts[m + 1] is the sum of t + 1 over level m, so a string of length
+    n is counted as an extension and never built.  No count comes from a
+    formula over more than one level, and nothing is memoized: counts[m] is
+    the Bell number B(m) by brute force, sharing no code with the recurrences
+    or the series.
     """
     _check_cap(n)
-    counts = [1] + [0] * n  # the empty string
-
-    def extend(length: int, top: int) -> None:
-        counts[length + 1] += top + 1
-        if length + 2 < n:
-            for last in range(top + 1):
-                extend(length + 1, top + (last == top))
-            return
-        leaves = 0
-        for last in range(top + 1):
-            leaves += top + 1 + (last == top)
-        counts[n] += leaves
-
-    if n >= 2:
-        extend(0, 0)
-    elif n == 1:
-        counts[1] = 1  # the empty string's one extension
-    return counts
+    return [1] + [sum(level) + len(level) for level in _levels(n)]
 
 
 def cigl_q_stirling_table(n_max: int) -> StirlingTable:

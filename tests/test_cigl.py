@@ -1,6 +1,5 @@
 """Partition enumeration, the zero-block statistic, and the cigl q-tower."""
 
-import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ import pytest
 from helpers import naive_bell, naive_partitions, naive_stirling2, zero_block_sum
 from umbraldob.cigl import (
     PARTITION_CAP,
+    _levels,
     cigl_q_bell,
     cigl_q_dobinski_exact,
     cigl_q_power,
@@ -60,23 +60,15 @@ class TestEnumeration:
         ]
         assert partition_counts(13)[13] == 27644437
 
-    @pytest.mark.parametrize("n", range(2, 10))
-    def test_walk_calls_once_per_string_of_length_at_most_n_minus_2(self, n):
-        # A memo or a table makes fewer calls; a call per string of length
-        # n - 1 or n makes more.
-        calls = 0
-
-        def profile(frame, event, arg):
-            nonlocal calls
-            if event == "call" and frame.f_code.co_name == "extend":
-                calls += 1
-
-        sys.setprofile(profile)
-        try:
-            partition_counts(n)
-        finally:
-            sys.setprofile(None)
-        assert calls == sum(naive_bell(m) for m in range(n - 1))
+    @pytest.mark.parametrize("n", range(10))
+    def test_walk_keeps_one_byte_per_string_in_order(self, n):
+        # Level m is every string of length m, in lexicographic order, as its
+        # block count: a walk that merges strings with equal block counts, or
+        # builds the strings of length n, fails this.
+        levels = list(_levels(n))
+        assert len(levels) == n
+        for m, level in enumerate(levels):
+            assert level == bytes(max(s, default=-1) + 1 for s in enumerate_partitions(m))
 
     def test_cap(self):
         with pytest.raises(CapExceededError):

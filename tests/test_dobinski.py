@@ -444,3 +444,12 @@ class TestGeneratingFunction:
         assert all(c.coefficient_ok and c.mean_ok for c in generating_function_checks(HALF, 1, 6))
         verdicts = [case.ok for case in RUNNERS["pmf-gf"](HALF, 6)]
         assert verdicts == [True] + [False] * 6
+
+    def test_runner_fails_a_mean_with_no_truncation_point(self, monkeypatch):
+        # psi!(n) read as (n**2 + 7)/3 leaves the lam = 1 mean no truncation point at classical and
+        # q = 3/2: a kernel fault, so every case fails (exit 1) instead of the runner raising (exit 2)
+        monkeypatch.setattr(PsiSequence, "factorial", lambda self, n: Fraction(n * n + 7, 3))
+        for seq in (PsiSequence.classical(), PsiSequence.gauss_q(Fraction(3, 2))):
+            with pytest.raises(NonConvergentError):
+                generating_function_checks(seq, 1, 0)
+            assert [case.ok for case in RUNNERS["pmf-gf"](seq, 12)] == [False] * 13
