@@ -15,8 +15,6 @@ counts walk the strings level by level and keep one byte per string, its
 block count, never the string itself.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 from typing import Iterator
 

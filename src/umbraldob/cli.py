@@ -24,8 +24,6 @@ Example::
     umbraldob oracle --n 8
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from fractions import Fraction

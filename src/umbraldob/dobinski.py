@@ -17,8 +17,6 @@ default_ratio_threshold(seq, lam), which also rejects lam outside the domain
 of exp_psi.  No function here takes a per-call summation setting.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -50,7 +48,8 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     stays finite.  Every other kind has ratios that tend to 0.
 
     It is also the one place that proves certified_sum's tail bound: past
-    the truncation point, no term ratio of a series the package sums rises.
+    the truncation point K, no term ratio of a series the package sums rises,
+    so its tail is at most term(K+1)/(1 - threshold) at any threshold.
     - Ratio c / psi(j), which never rises because psi never decreases
       ([k+1]_q = [k]_q + q**k): lam / psi(k+1) for exp_psi, 1 / psi(k-n+1)
       for falling row n, and 1 / psi(k) for the pmf-gf mean.

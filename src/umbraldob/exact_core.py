@@ -7,14 +7,12 @@ the true sum.  No floating point appears anywhere, so every comparison made
 by the verification routines is decidable.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
 
 from .errors import NegativeTermError, NonConvergentError
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 SUM_CAP = 10_000  # no series term past this index is ever read
 
@@ -179,8 +177,7 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
     The series is truncated at the first index K with term(K) > 0 (so past
     any leading zero terms) and term(K+1)/term(K) <= ratio_threshold.  The
     tail beyond K is then bounded by the geometric series at the threshold
-    ratio, giving [S_K, S_K + 2*term(K+1)] for thresholds up to 1/2 and
-    [S_K, S_K + term(K+1)/(1-threshold)] above that.  The bound is a proof
+    ratio, giving [S_K, S_K + term(K+1)/(1-threshold)].  The bound is a proof
     only if no term ratio past K rises above term(K+1)/term(K); the caller
     owns that premise, and no term past K + 1 is read.  Every series of the
     package takes its threshold from dobinski.default_ratio_threshold,
@@ -197,11 +194,10 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
     if not 0 < thr < 1:
         raise ValueError("ratio_threshold must lie strictly between 0 and 1")
     cap = SUM_CAP
-    tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
+    tail_factor = 1 / (1 - thr)
     partial = last = Fraction(0)
     for k in range(cap + 1):
         v = term(k)
-        v = v if isinstance(v, Fraction) else Fraction(v)
         if v.numerator < 0:
             raise NegativeTermError(f"term({k}) = {v} is negative")
         # K = k - 1 once term(k)/term(k-1) <= thr, with term(k-1) > 0

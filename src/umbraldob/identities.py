@@ -4,12 +4,10 @@ Each runner takes a psi-sequence and a depth n_max and returns one Case per
 checked instance; its RUNNERS key names the identity.  A runner whose verdicts
 depend on the sequence puts its label under "seq" in every case, and one whose
 identity has no reference route for the sequence kind raises
-UnsupportedSequenceError before computing anything.
+UnsupportedSequenceError before running any route.
 bell_oracle compares the Bell numbers along every independent route for
 ``umbraldob oracle`` and the sweep script's enumeration line.
 """
-
-from __future__ import annotations
 
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -17,7 +15,15 @@ from typing import Callable, NamedTuple
 # Each runner imports the cigl, dobinski or operator_calc routes it runs in its body, so verify loads only those.
 from .errors import NonConvergentError, UnsupportedSequenceError
 from .exact_core import CertifiedValue
-from .umbral_engine import CLASSICAL, GAUSS_Q, PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
+from .umbral_engine import (
+    CLASSICAL,
+    GAUSS_Q,
+    PsiSequence,
+    bell_via_sum,
+    carlitz_q_stirling,
+    classical_stirling_table,
+    psi_stirling_diagnostic,
+)
 
 
 class Case(NamedTuple):
@@ -49,8 +55,11 @@ def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
         table = classical_stirling_table(n_max)
         expected = [bell_via_sum(table, n) for n in range(n_max + 1)]
     else:
+        _, (residual,) = psi_stirling_diagnostic(seq, 2, 3)
         raise UnsupportedSequenceError(
             "identity dobinski needs an exact reference value: use classical or q=<rational>"
+            f" ({seq.label} has no constant-coefficient psi-Stirling expansion: fitted at n = 2,"
+            f" it leaves residual {residual} at psi index 3)"
         )
     return _series_cases(seq, dobinski_bells(seq, range(n_max + 1)), expected)
 

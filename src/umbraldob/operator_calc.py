@@ -8,8 +8,6 @@ second-kind Stirling numbers and whose value at 1 is the Bell number: a
 third, fully exact route to the same tower.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .exact_core import Poly

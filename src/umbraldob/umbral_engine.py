@@ -15,8 +15,6 @@ each caller builds the tower it reads and holds it.  poisson_moment_exact, the
 exact moment functional, substitutes the classical row sums for powers of x.
 """
 
-from __future__ import annotations
-
 import threading
 from fractions import Fraction
 

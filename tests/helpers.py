@@ -140,7 +140,7 @@ def division_certified_sum(term, ratio_threshold, cap=10_000):
             return Fraction(0) if b == 0 else inf
         return b / a
 
-    tail_factor = Fraction(2) if thr <= Fraction(1, 2) else 1 / (1 - thr)
+    tail_factor = 1 / (1 - thr)
     for k in range(support, cap):
         if ratio(k) <= thr:
             partial = sum(terms[: k + 1], Fraction(0))

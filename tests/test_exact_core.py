@@ -3,7 +3,7 @@
 import copy
 import pickle
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -128,6 +128,12 @@ class TestCertifiedSum:
         got = certified_sum(lambda k: Fraction(1, factorial(k)), Fraction(1, 2))
         assert got.contains(partial_sum(lambda k: Fraction(1, factorial(k)), 51))
 
+    def test_tail_bound_is_geometric_at_every_threshold(self):
+        # 1/k! first has term(K+1)/term(K) <= 1/4 at K = 3, and the tail past K is at most term(4)/(1 - 1/4)
+        term = lambda k: Fraction(1, factorial(k))
+        lo = partial_sum(term, 4)
+        assert certified_sum(term, Fraction(1, 4)) == CertifiedValue(lo, lo + Fraction(4, 3) * term(4))
+
     def test_zero_series(self):
         got = certified_sum(lambda k: Fraction(0), Fraction(1, 2))
         assert (got.lo, got.hi) == (0, 0)
@@ -203,10 +209,13 @@ class TestCertifiedSum:
             lambda k: Fraction(k**3, factorial(k)),
             lambda k: Fraction(2) ** k / factorial(k),
             lambda k: Fraction(1, factorial(k - 5)) if k >= 5 else Fraction(0),
+            lambda k: comb(12, k),
         ],
     )
     def test_ten_times_more_terms_stay_inside(self, term):
         got = certified_sum(term, Fraction(1, 2))
+        # an int term has the numerator and denominator that the ratio test reads, so it sums as its Fraction
+        assert got == certified_sum(lambda k: Fraction(term(k)), Fraction(1, 2))
         # recover the truncation index from the exact lower endpoint
         acc, k = Fraction(0), 0
         while acc != got.lo:

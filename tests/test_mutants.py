@@ -1,4 +1,9 @@
-"""Mutants of the kernels: each is a named monkeypatch, and a verdict that claims to cover it must fail."""
+"""Mutants of the kernels: each is a named monkeypatch, and the verdicts that claim to cover it must fail.
+
+Each caught mutant carries a floor: the number of its verdicts that failed when the floor was set.
+A change that raises a count raises the floor; one that lowers it fails here.  A mutant that no
+verdict sees yet is a strict xfail with floor 1.
+"""
 
 from fractions import Fraction
 from itertools import chain
@@ -215,17 +220,20 @@ MUTANTS = [
     pytest.param(
         [(operator_calc, "apply_number_operator", operator_weight_m)],
         conjugation_and_oracle,
+        8,
         id="operator-weight-m",
     ),
     pytest.param(
         [(Poly, "__mul__", mul_drops_last_cross_product), (Poly, "__rmul__", mul_drops_last_cross_product)],
         polynomial_towers,
+        20,
         id="poly-mul-drops-last-cross-product",
     ),
     *(
         pytest.param(
             [(dobinski, "psi_exp", psi_exp_scaled(1 + sign * Fraction(1, 2**40)))],
             series_verdicts,
+            1,
             id=f"psi-exp-times-1{'+-'[sign < 0]}2^-40",
             marks=pytest.mark.xfail(
                 strict=True, reason="the intervals are too wide to see it: killed by ROADMAP items 1 and 6"
@@ -233,24 +241,33 @@ MUTANTS = [
         )
         for sign in (1, -1)
     ),
-    pytest.param([(dobinski, "_moments", moments_falling_step_k_minus_n)], series_verdicts, id="falling-step-psi-k-n"),
+    pytest.param(
+        [(dobinski, "_moments", moments_falling_step_k_minus_n)], series_verdicts, 24, id="falling-step-psi-k-n"
+    ),
     pytest.param(
         [(dobinski, "_moments", moments_falling_at_n_plus_one)],
         series_verdicts,
+        1,
         id="falling-row-read-at-n+1",
         marks=pytest.mark.xfail(strict=True, reason="every falling moment is 1 at lam = 1: killed by ROADMAP item 2"),
     ),
-    pytest.param([(identities, "carlitz_q_stirling", carlitz_left_weight_q_k)], series_verdicts, id="carlitz-left-q^k"),
     pytest.param(
-        [(identities, "carlitz_q_stirling", carlitz_row_6_swapped)], polynomial_towers, id="carlitz-row-6-swapped"
+        [(identities, "carlitz_q_stirling", carlitz_left_weight_q_k)], series_verdicts, 34, id="carlitz-left-q^k"
     ),
     pytest.param(
-        [(cigl, "cigl_q_stirling_table", cigl_right_weight_q_n_plus_one)], polynomial_towers, id="cigl-right-q^(n+1)"
+        [(identities, "carlitz_q_stirling", carlitz_row_6_swapped)], polynomial_towers, 1, id="carlitz-row-6-swapped"
+    ),
+    pytest.param(
+        [(cigl, "cigl_q_stirling_table", cigl_right_weight_q_n_plus_one)],
+        polynomial_towers,
+        10,
+        id="cigl-right-q^(n+1)",
     ),
     *(
         pytest.param(
             [(identities, "bell_via_sum", bell_reference_scaled(1 + sign * Fraction(1, 2**40)))],
             series_verdicts,
+            1,
             id=f"dobinski-reference-times-1{'+-'[sign < 0]}2^-40",
             marks=pytest.mark.xfail(
                 strict=True, reason="the intervals are too wide to see it: killed by ROADMAP item 1"
@@ -258,33 +275,42 @@ MUTANTS = [
         )
         for sign in (1, -1)
     ),
-    pytest.param([(cigl, "partition_counts", counts_plus_one)], oracle, id="partition-counts-plus-one"),
-    pytest.param([(cigl, "_levels", levels_open_block_off_top)], oracle, id="walk-last-not-top"),
+    pytest.param([(cigl, "partition_counts", counts_plus_one)], oracle, 9, id="partition-counts-plus-one"),
+    pytest.param([(cigl, "_levels", levels_open_block_off_top)], oracle, 7, id="walk-last-not-top"),
     pytest.param(
-        [(dobinski, "jackson_derivative", jackson_bracket_q_plus_q)], pmf_gf_verdicts, id="jackson-bracket-q+q"
+        [(dobinski, "jackson_derivative", jackson_bracket_q_plus_q)], pmf_gf_verdicts, 33, id="jackson-bracket-q+q"
     ),
-    pytest.param([(cigl, "cigl_q_power", cigl_power_shift_q_i_plus_one)], polynomial_towers, id="cigl-power-q^(i+1)"),
-    pytest.param([(cigl, "poisson_moment_exact", moment_reads_b4_for_x3)], polynomial_towers, id="moment-b4-for-x^3"),
     pytest.param(
-        [(dobinski, "certified_sum", certified_sum_upper_at_quarter)], series_and_oracle, id="sum-upper-at-quarter"
+        [(cigl, "cigl_q_power", cigl_power_shift_q_i_plus_one)], polynomial_towers, 10, id="cigl-power-q^(i+1)"
+    ),
+    pytest.param(
+        [(cigl, "poisson_moment_exact", moment_reads_b4_for_x3)], polynomial_towers, 8, id="moment-b4-for-x^3"
+    ),
+    pytest.param(
+        [(dobinski, "certified_sum", certified_sum_upper_at_quarter)],
+        series_and_oracle,
+        20,
+        id="sum-upper-at-quarter",
     ),
     pytest.param(
         [(identities, "classical_stirling_table", classical_right_weight_k_plus_one_at_4_2)],
         towers_and_oracle,
+        10,
         id="classical-right-k+1-at-4-2",
     ),
-    pytest.param([(PsiSequence, "value", gauss_psi_5_nudged)], every_verdict, id="gauss-psi-5-plus-2^-20"),
+    pytest.param([(PsiSequence, "value", gauss_psi_5_nudged)], every_verdict, 24, id="gauss-psi-5-plus-2^-20"),
     pytest.param(
         [(PsiSequence, "factorial", factorial_n_squared_plus_7_thirds)],
         pmf_gf_verdicts,
+        52,
         id="psi-factorial-(n^2+7)/3",
     ),
 ]
 
 
-@pytest.mark.parametrize("patches, verdicts", MUTANTS)
-def test_mutant_fails_a_verdict(monkeypatch, patches, verdicts):
+@pytest.mark.parametrize("patches, verdicts, floor", MUTANTS)
+def test_mutant_fails_a_verdict(monkeypatch, patches, verdicts, floor):
     assert all(verdicts())  # every verdict passes on the real kernel
     for owner, name, mutant in patches:
         monkeypatch.setattr(owner, name, mutant)
-    assert not all(verdicts())
+    assert verdicts().count(False) >= floor
