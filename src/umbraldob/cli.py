@@ -14,7 +14,7 @@ given as ``--opt value`` or ``--opt=value``, from ``COMMANDS``, and is the one
 place that prints and picks the exit status: 0 when everything passed, 1 when
 a verification verdict failed, 2 with one message on stderr on unusable input
 (usage errors, parse failures, inadmissible sequences, cap or convergence
-violations).
+violations) or a stdout closed before the output was written.
 
 Example::
 
@@ -190,11 +190,24 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         print(f"{usage}\nTry '{path} --help' for help.\n\nError: {message}", file=sys.stderr)
         sys.exit(2)
 
+    def print_lines(lines: list[str]) -> None:
+        # A reader that closed stdout gets exit 2 and one message; devnull takes stdout's place,
+        # so the interpreter's final flush raises nothing.
+        try:
+            for line in lines:
+                print(line)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("error: stdout was closed before the output was written", file=sys.stderr)
+            sys.exit(2)
+
     if "--help" in (args if options else args[:1]):
         entries = COMMANDS if not options else [
             f"{opt} {_SHAPES.get(kind) or '|'.join(kind)}  [{'required' if default is None else f'default: {default}'}]"
             for opt, (_, kind, default) in options.items()]
-        print(f"{usage}\n\n  {command.__doc__}\n\n{'Options' if options else 'Commands'}:", *entries, sep="\n  ")
+        heading = f"{usage}\n\n  {command.__doc__}\n\n{'Options' if options else 'Commands'}:"
+        print_lines(["\n  ".join([heading, *entries])])
         return
     if not options:
         bad_usage(f"No such {'option' if name[:1] == '-' else 'command'} {name!r}." if args else "Missing command.")
@@ -228,10 +241,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         sys.exit(2)
     if fmt == "json":
         import json
-        print(json.dumps([record for records, _, _ in rows for record in records], **_JSON_KW))
+        print_lines([json.dumps([record for records, _, _ in rows for record in records], **_JSON_KW)])
     else:
-        for line in [header, *(csv for _, csv, _ in rows)] if fmt == "csv" else [pretty for *_, pretty in rows]:
-            print(line)
+        print_lines([header, *(csv for _, csv, _ in rows)] if fmt == "csv" else [pretty for *_, pretty in rows])
     if not ok:
         sys.exit(1)
 

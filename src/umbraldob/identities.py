@@ -48,19 +48,15 @@ def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
     from .dobinski import dobinski_bells
-    if seq.kind == GAUSS_Q:
-        table = carlitz_q_stirling(n_max)
-        expected = [bell_via_sum(table, n).evaluate(seq.q) for n in range(n_max + 1)]
-    elif seq.kind == CLASSICAL:
-        table = classical_stirling_table(n_max)
-        expected = [bell_via_sum(table, n) for n in range(n_max + 1)]
-    else:
+    if seq.kind not in (CLASSICAL, GAUSS_Q):
         _, (residual,) = psi_stirling_diagnostic(seq, 2, 3)
         raise UnsupportedSequenceError(
             "identity dobinski needs an exact reference value: use classical or q=<rational>"
             f" ({seq.label} has no constant-coefficient psi-Stirling expansion: fitted at n = 2,"
             f" it leaves residual {residual} at psi index 3)"
         )
+    table = carlitz_q_stirling(n_max, seq.q) if seq.kind == GAUSS_Q else classical_stirling_table(n_max)
+    expected = [bell_via_sum(table, n) for n in range(n_max + 1)]
     return _series_cases(seq, dobinski_bells(seq, range(n_max + 1)), expected)
 
 

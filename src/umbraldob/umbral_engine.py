@@ -10,7 +10,7 @@ comes from one three-term recurrence builder,
 T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from a seed T(0,0) that
 fixes the ring: left 1 and right k from the int 1 give the classical
 triangle; after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right
-[k]_q from the polynomial 1 give the Carlitz q-analogue.  No table is cached:
+[k]_q from 1 in the ring of q give the Carlitz q-analogue.  No table is cached:
 each caller builds the tower it reads and holds it.  poisson_moment_exact, the
 exact moment functional, substitutes the classical row sums for powers of x.
 """
@@ -115,13 +115,13 @@ def q_number_symbolic(n: int) -> Poly:
 class StirlingTable(Record):
     """Triangular array of Stirling entries, rows 0..n_max.
 
-    The entries are ints for the classical triangle and polynomials for the
-    q-towers; every entry of one table lies in the same ring.
+    The entries are ints for the classical triangle, and polynomials for the q-towers or
+    Fractions for a Carlitz tower at a rational q; every entry of one table lies in one ring.
     """
 
     __slots__ = ("n_max", "rows")
 
-    def __init__(self, n_max: int, rows: tuple[tuple[int | Poly, ...], ...]):
+    def __init__(self, n_max: int, rows: tuple[tuple[int | Fraction | Poly, ...], ...]):
         if len(rows) != n_max + 1:
             raise ValueError("row count must be n_max + 1")
         for n, row in enumerate(rows):
@@ -129,7 +129,7 @@ class StirlingTable(Record):
                 raise ValueError(f"row {n} must have {n + 1} entries")
         self._init(n_max=n_max, rows=rows)
 
-    def entry(self, n: int, k: int) -> int | Poly:
+    def entry(self, n: int, k: int) -> int | Fraction | Poly:
         if not 0 <= n <= self.n_max:
             raise ValueError(f"row {n} outside table (n_max={self.n_max})")
         if not 0 <= k <= n:
@@ -137,7 +137,7 @@ class StirlingTable(Record):
         return self.rows[n][k]
 
 
-def recurrence_table(n_max: int, left, right, seed: int | Poly) -> StirlingTable:
+def recurrence_table(n_max: int, left, right, seed: int | Fraction | Poly) -> StirlingTable:
     """Rows 0..n_max of T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k), T(0,0) = seed.
 
     The seed fixes the ring of the entries (1 for ints, Poly((1,)) for
@@ -173,20 +173,24 @@ def stirling2(n: int, k: int) -> int:
     return classical_stirling_table(n).entry(n, k)
 
 
-def carlitz_q_stirling(n_max: int) -> StirlingTable:
+def carlitz_q_stirling(n_max: int, q=None) -> StirlingTable:
     """Carlitz q-Stirling triangle: S(n+1,k) = q**(k-1)*S(n,k-1) + [k]_q*S(n,k).
 
-    This is the recurrence of Carlitz (Duke Math. J. 15, 1948).  Its rows are
-    the coefficients of the defining expansion
-    [j]_q**n = sum_k entry(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q, which
-    psi_stirling_diagnostic solves independently at a rational q.
+    This is the recurrence of Carlitz (Duke Math. J. 15, 1948).  Its rows are the coefficients
+    of the defining expansion [j]_q**n = sum_k entry(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q, which
+    psi_stirling_diagnostic solves independently at a rational q.  The weights q**k and [k]_q
+    are built once in the ring of q: polynomials when q is None, else Fractions at the rational
+    q, which give the polynomial tower evaluated at q, since evaluation is a ring map.
     """
-    return recurrence_table(
-        n_max, lambda n, k: Poly.monomial(1, k - 1), lambda n, k: q_number_symbolic(k), Poly((1,))
-    )
+    x = Poly((0, 1)) if q is None else Fraction(q)
+    powers, brackets = [x * 0 + 1], [x * 0]  # q**0 and [0]_q in the ring of x
+    for _ in range(n_max):
+        powers.append(powers[-1] * x)
+        brackets.append(brackets[-1] + powers[-2])
+    return recurrence_table(n_max, lambda n, k: powers[k - 1], lambda n, k: brackets[k], powers[0])
 
 
-def bell_via_sum(table: StirlingTable, n: int) -> int | Poly:
+def bell_via_sum(table: StirlingTable, n: int) -> int | Fraction | Poly:
     """Row sum of a Stirling table in its own ring: the Bell number or polynomial."""
     first = table.entry(n, 0)  # checks n before the row is read
     return sum(table.rows[n][1:], first)

@@ -6,6 +6,7 @@ algorithms, so a test comparing the two routes is a real cross-check.
 """
 
 import io
+from itertools import chain
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial, inf
@@ -146,3 +147,67 @@ def division_certified_sum(term, ratio_threshold, cap=10_000):
             partial = sum(terms[: k + 1], Fraction(0))
             return partial, partial + tail_factor * t(k + 1)
     raise NonConvergentError(f"no certified truncation point within hard cap {cap}")
+
+
+def _poly_add(a, b):
+    """Sum of two polynomials in q, each a coefficient list, lowest degree first."""
+    out = [0] * max(len(a), len(b))
+    for i, c in chain(enumerate(a), enumerate(b)):
+        out[i] += c
+    return out
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_trim(a):
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def tower_definition_failures(kind, rows, q=None):
+    """The rows n of a Stirling tower that break its defining expansion at some x = j, j = 0..n.
+
+    kind names the expansion that row n must satisfy at every point j:
+    "stirling" j**n = sum_k S(n,k) * j*(j-1)*...*(j-k+1);
+    "q-stirling" [j]_q**n = sum_k S_q(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q, with [j]_q = 1 + q + ... + q**(j-1);
+    "cigl-q-stirling" prod_{i<n} (j + q**i - 1) = sum_k T(n,k) * j*(j-1)*...*(j-k+1).
+    Each entry is an int, a Fraction or a polynomial in q given as its coefficient list, lowest
+    degree first.  With q None the expansions are identities of polynomials in q; with a
+    rational q they are checked at that q.  The j-th basis term is nonzero at j and zero at
+    every smaller point, so the n + 1 points fix the row: a row that passes is the right one.
+    """
+    var = [0, 1] if q is None else [Fraction(q)]
+    powers, brackets = [[1]], [[]]  # q**i and [i]_q, grown as far as a row needs them
+    failures = []
+    for n, row in enumerate(rows):
+        while len(powers) <= n:
+            brackets.append(_poly_add(brackets[-1], powers[-1]))
+            powers.append(_poly_mul(powers[-1], var))
+        entries = [entry if isinstance(entry, list) else [entry] for entry in row]
+        for j in range(n + 1):
+            # x is j or [j]_q; the k-th basis term x(x-1)...(x-k+1) multiplies the first k steps down from x
+            steps = brackets[j::-1] if kind == "q-stirling" else [[j - i] for i in range(j + 1)]
+            if kind == "cigl-q-stirling":
+                factors = [_poly_add([j - 1], powers[i]) for i in range(n)]
+            else:
+                factors = [steps[0]] * n
+            lhs, basis = [1], [[1]]
+            for factor in factors:
+                lhs = _poly_mul(lhs, factor)
+            for step in steps[:n]:  # the last step is 0 or [0]_q: the basis terms past it are zero and left out
+                basis.append(_poly_mul(basis[-1], step))
+            rhs = []
+            for entry, term in zip(entries, basis):
+                rhs = _poly_add(rhs, _poly_mul(entry, term))
+            if _poly_trim(lhs) != _poly_trim(rhs):
+                failures.append(n)
+                break
+    return failures

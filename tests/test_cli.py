@@ -12,7 +12,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
-from helpers import invoke
+from helpers import invoke, tower_definition_failures
 
 from umbraldob import cigl
 from umbraldob import cli as cli_module
@@ -114,6 +114,43 @@ class TestTable:
         assert result.exit_code == 2
         assert "capped" in result.stderr
 
+    @pytest.mark.parametrize("kind", ["stirling", "q-stirling", "cigl-q-stirling"])
+    def test_every_row_meets_its_defining_expansion(self, kind):
+        result = invoke("table", "--kind", kind, "--n", "13", "--format", "json")
+        assert result.exit_code == 0
+        rows = [[] for _ in range(14)]
+        for rec in records_of(result):  # row by row, k ascending
+            value = rec["value"]
+            rows[rec["parameters"]["n"]].append(
+                [int(Fraction(c)) for c in value] if isinstance(value, list) else int(value)
+            )
+        assert tower_definition_failures(kind, rows) == []
+
+    def test_closed_stdout_exits_two_without_a_traceback(self):
+        # the triangle's csv is megabytes, far past a pipe's buffer, so writing it meets the closed end
+        with subprocess.Popen(
+            [sys.executable, "-m", "umbraldob.cli", "table", "--kind", "stirling", "--n", "200", "--format", "csv"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=ENV,
+        ) as proc:
+            assert proc.stdout.readline() == "n,k,value\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=60) == 2
+        assert stderr == "error: stdout was closed before the output was written\n"
+
+    def test_help_to_a_closed_stdout_exits_two(self):
+        # the pipe's read end is closed before the process starts, so even a short output meets it
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "umbraldob.cli", "table", "--help"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=ENV, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (2, "error: stdout was closed before the output was written\n")
+
 
 class TestVerifySuites:
     @pytest.mark.parametrize(
@@ -135,6 +172,14 @@ class TestVerifySuites:
         assert result.exit_code == 0, result.output + result.stderr
         assert "pass" in result.output
         assert "fail" not in result.output
+
+    def test_dobinski_reference_at_q_is_fast(self):
+        # the reference is the Carlitz recurrence run at q = 1/2, not a tower of polynomials in q
+        start = time.perf_counter()
+        result = invoke("verify", "--identity", "dobinski", "--seq", "q=1/2", "--n-max", "60", "--format", "csv")
+        assert time.perf_counter() - start < 2
+        assert result.exit_code == 0
+        assert result.stdout.splitlines()[1:] == [f"dobinski,q=1/2,{n},pass" for n in range(61)]
 
     def test_csv_shape(self):
         result = invoke(

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import chain
 
 import pytest
+from helpers import tower_definition_failures
 
 from umbraldob import cigl, dobinski, identities, operator_calc
 from umbraldob.exact_core import CertifiedValue, Poly
@@ -19,7 +20,6 @@ from umbraldob.umbral_engine import (
     StirlingTable,
     bell_via_sum,
     classical_stirling_table,
-    q_number_symbolic,
     recurrence_table,
 )
 
@@ -103,14 +103,19 @@ def moments_falling_at_n_plus_one(seq, ns, power):
     return REAL_MOMENTS(seq, [n + (not power) for n in ns], power)
 
 
-def carlitz_left_weight_q_k(n_max):
-    """The Carlitz tower with left weight q**k in place of q**(k-1)."""
-    return recurrence_table(n_max, lambda n, k: Poly.monomial(1, k), lambda n, k: q_number_symbolic(k), Poly((1,)))
+def carlitz_left_weight_q_k(n_max, q=None):
+    """The Carlitz tower with left weight q**k in place of q**(k-1), from the same running products in the ring of q."""
+    x = Poly((0, 1)) if q is None else Fraction(q)
+    powers, brackets = [x * 0 + 1], [x * 0]
+    for _ in range(n_max):
+        powers.append(powers[-1] * x)
+        brackets.append(brackets[-1] + powers[-2])
+    return recurrence_table(n_max, lambda n, k: powers[k], lambda n, k: brackets[k], powers[0])
 
 
-def carlitz_row_6_swapped(n_max):
+def carlitz_row_6_swapped(n_max, q=None):
     """The Carlitz tower with entries 2 and 3 of row 6 swapped."""
-    rows = REAL_CARLITZ(n_max).rows
+    rows = REAL_CARLITZ(n_max, q).rows
     if n_max >= 6:
         rows = (*rows[:6], (*rows[6][:2], rows[6][3], rows[6][2], *rows[6][4:]), *rows[7:])
     return StirlingTable(n_max, rows)
@@ -314,3 +319,19 @@ def test_mutant_fails_a_verdict(monkeypatch, patches, verdicts, floor):
     for owner, name, mutant in patches:
         monkeypatch.setattr(owner, name, mutant)
     assert verdicts().count(False) >= floor
+
+
+@pytest.mark.parametrize(
+    "kind, tower, failing_rows",
+    [
+        pytest.param("cigl-q-stirling", cigl_right_weight_q_n_plus_one, list(range(1, 11)), id="cigl-right-q^(n+1)"),
+        pytest.param("q-stirling", carlitz_left_weight_q_k, list(range(1, 11)), id="carlitz-left-q^k"),
+        pytest.param("q-stirling", carlitz_row_6_swapped, [6], id="carlitz-row-6-swapped"),
+        pytest.param(
+            "stirling", classical_right_weight_k_plus_one_at_4_2, list(range(5, 11)), id="classical-right-k+1-at-4-2"
+        ),
+    ],
+)
+def test_mutant_tower_fails_its_defining_expansion(kind, tower, failing_rows):
+    rows = [[list(entry.coeffs) if isinstance(entry, Poly) else entry for entry in row] for row in tower(10).rows]
+    assert tower_definition_failures(kind, rows) == failing_rows

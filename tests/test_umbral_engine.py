@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_bell, naive_stirling2
+from helpers import naive_bell, naive_stirling2, tower_definition_failures
 from umbraldob.dobinski import dobinski_bell, rota_bell_exact
 from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.umbral_engine import (
@@ -246,6 +246,25 @@ class TestCarlitzTable:
         for n in range(13):
             for k in range(n + 1):
                 assert t.entry(n, k).evaluate(Fraction(1)) == stirling2(n, k)
+
+    def test_tower_at_q_is_the_polynomial_tower_evaluated_at_q(self):
+        symbolic = carlitz_q_stirling(30)
+        for q in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), Fraction(17, 16)):
+            numeric = carlitz_q_stirling(30, q)
+            assert all(type(entry) is Fraction for row in numeric.rows for entry in row), f"q = {q}"
+            expected = tuple(tuple(entry.evaluate(q) for entry in row) for row in symbolic.rows)
+            assert numeric.rows == expected, f"q = {q}"
+
+    @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_tower_at_any_q_is_the_polynomial_tower_evaluated_there(self, a, b, n):
+        q = Fraction(a, b)
+        expected = tuple(tuple(entry.evaluate(q) for entry in row) for row in carlitz_q_stirling(n).rows)
+        assert carlitz_q_stirling(n, q).rows == expected, f"q = {q}, n = {n}"
+
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 2)], ids=str)
+    def test_tower_at_q_meets_the_defining_expansion(self, q):
+        assert tower_definition_failures("q-stirling", carlitz_q_stirling(20, q).rows, q) == []
 
     def test_row_out_of_range(self):
         t = carlitz_q_stirling(3)
