@@ -6,13 +6,13 @@ in the identity registry, once per built-in sequence if its cases name their
 sequence and once otherwise, and prints one verdict line per suite and
 sequence, with the widest certified interval where the suite reads its
 verdicts from intervals.  A sequence the suite has no reference route for
-is reported as skipped.  cigl-dobinski, and the Bell oracle of `umbraldob
-oracle` that follows the suites, stop at min(n_max, PARTITION_CAP).  The
-oracle's one brute-force walk counts the restricted growth strings of every
-length, and each count must equal the Stirling row sum and the umbral
-operator value and lie in the Dobinski interval.  Exits 1 if a verdict
-failed, and 2 with a message on stderr if a cap or convergence limit stopped
-the sweep.
+is reported as skipped.  Every suite runs to n_max; only the Bell oracle of
+`umbraldob oracle` that follows the suites, whose one brute-force walk
+enumerates partitions, stops at min(n_max, PARTITION_CAP).  The walk counts
+the restricted growth strings of every length, and each count must equal
+the Stirling row sum and the umbral operator value and lie in the Dobinski
+interval.  Exits 1 if a verdict failed, and 2 with a message on stderr if a
+cap or convergence limit stopped the sweep.
 
     python3 scripts/run_identity_suite.py --n-max 8
     python3 scripts/run_identity_suite.py --n-max 10
@@ -46,11 +46,10 @@ def run(n_max: int) -> int:
         print(f"  [{'ok ' if ok else 'FAIL'}] {label}" + (f"  ({detail})" if detail else ""))
 
     for name, runner in RUNNERS.items():
-        depth = min(n_max, PARTITION_CAP) if name == "cigl-dobinski" else n_max
-        print(f"{name} (n <= {depth})")
+        print(f"{name} (n <= {n_max})")
         for seq in SEQUENCES:
             try:
-                cases = runner(seq, depth)
+                cases = runner(seq, n_max)
             except UnsupportedSequenceError:
                 print(f"  [ -- ] {seq.label}  (skipped)")
                 continue
@@ -72,7 +71,7 @@ def run(n_max: int) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    depth_help = f"sweep depth (default 8); cigl-dobinski and the partition count stop at min(n-max, {PARTITION_CAP})"
+    depth_help = f"sweep depth (default 8); only the partition enumeration stops at min(n-max, {PARTITION_CAP})"
     parser.add_argument("--n-max", type=int, default=8, help=depth_help)
     args = parser.parse_args()
     if args.n_max < 0:

@@ -22,8 +22,9 @@ from .errors import CapExceededError
 from .exact_core import Poly
 from .umbral_engine import StirlingTable, bell_via_sum, poisson_moment_exact, recurrence_table
 
-# Full enumeration of n = 13 already means 27.6 million partitions; past that
-# the desk-scale guarantees of this module stop holding.
+# The longest strings enumerate_partitions and partition_counts walk (n = 13 is
+# 27.6 million partitions).  The cigl tower is a recurrence and runs at any n;
+# the CLI caps its printed cigl-* tables here, so enumeration can check them.
 PARTITION_CAP = 13
 
 
@@ -101,7 +102,6 @@ def cigl_q_stirling_table(n_max: int) -> StirlingTable:
     Element n opens a new block, joins the block of 0 (adding n to the
     statistic), or joins one of the other k - 1 blocks.
     """
-    _check_cap(n_max)
     return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n) + (k - 1), Poly((1,)))
 
 

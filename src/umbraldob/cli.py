@@ -139,10 +139,7 @@ def cmd_dist(seq_text: str, lam_text: str, k_max: int) -> tuple[str, list, bool]
 
 def cmd_oracle(n: int) -> tuple[str, list, bool]:
     """Cross-check the Bell numbers along every independent route up to n."""
-    from .cigl import PARTITION_CAP
     from .identities import bell_oracle
-    if n > PARTITION_CAP:
-        raise CapExceededError(f"oracle is capped at n={PARTITION_CAP} by full partition enumeration")
     oracle, rows = bell_oracle(n), []
     for m, count, rota, operator, series, ok in oracle:
         op = str(operator)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import naive_bell, naive_partitions, naive_stirling2, zero_block_sum
+from helpers import naive_bell, naive_partitions, naive_stirling2, tower_definition_failures, zero_block_sum
 from umbraldob.cigl import (
     PARTITION_CAP,
     _levels,
@@ -138,15 +138,22 @@ class TestWeightedCount:
             assert b.degree == top
             assert b.coefficient(top) == 1
 
-    def test_cap(self):
-        with pytest.raises(CapExceededError):
-            cigl_q_bell(PARTITION_CAP + 1)
+    def test_runs_past_the_partition_cap(self):
+        # the tower is a recurrence, so the enumeration cap does not bound it
+        n = PARTITION_CAP + 1
+        b = cigl_q_bell(n)
+        assert b.degree == n * (n - 1) // 2 == 91
+        assert b.coefficient(91) == 1
+
+    def test_rows_past_the_cap_meet_the_defining_expansion(self):
+        rows = [[list(entry.coeffs) for entry in row] for row in cigl_q_stirling_table(20).rows]
+        assert tower_definition_failures("cigl-q-stirling", rows) == []
 
     @pytest.mark.parametrize("k", [0, 3, PARTITION_CAP + 2, PARTITION_CAP + 10])
     def test_entry_checks_n_before_k(self, k):
-        # an empty column (k > n) must not hide an invalid or capped row
-        with pytest.raises(CapExceededError):
-            cigl_q_stirling_table(PARTITION_CAP + 1).entry(PARTITION_CAP + 1, k)
+        # an empty column (k > n) must not hide an invalid row or one outside the table
+        with pytest.raises(ValueError):
+            cigl_q_stirling_table(PARTITION_CAP).entry(PARTITION_CAP + 1, k)
         with pytest.raises(ValueError):
             cigl_q_stirling_table(-1).entry(-1, k)
 

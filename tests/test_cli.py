@@ -181,6 +181,12 @@ class TestVerifySuites:
         assert result.exit_code == 0
         assert result.stdout.splitlines()[1:] == [f"dobinski,q=1/2,{n},pass" for n in range(61)]
 
+    def test_cigl_dobinski_runs_past_the_partition_cap(self):
+        # the cap bounds enumeration and the printed cigl-* tables, not this verdict
+        result = invoke("verify", "--identity", "cigl-dobinski", "--n-max", "20")
+        assert result.exit_code == 0, result.output
+        assert result.stdout.splitlines() == [f"cigl-dobinski n={n}: pass" for n in range(21)]
+
     def test_csv_shape(self):
         result = invoke(
             "verify", "--identity", "falling-moment", "--n-max", "2", "--format", "csv"
@@ -349,6 +355,7 @@ class TestBadInput:
             ("dist", "--seq", "custom:0,1,2", "--k-max", "9"),
             ("dist", "--seq", "custom:0,1/0"),
             ("oracle", "--n", "14"),
+            ("table", "--kind", "cigl-q-stirling", "--n", "14"),
         ],
     )
     def test_exit_code_two(self, args):

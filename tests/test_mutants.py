@@ -126,6 +126,11 @@ def cigl_right_weight_q_n_plus_one(n_max):
     return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, n + 1) + (k - 1), Poly((1,)))
 
 
+def cigl_right_weight_q_n_minus_one(n_max):
+    """The zero-block tower with right weight q**max(n-1, 0) + k - 1 in place of q**n + k - 1: right at q = 1."""
+    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: Poly.monomial(1, max(n - 1, 0)) + (k - 1), Poly((1,)))
+
+
 def bell_reference_scaled(factor):
     """The Dobinski runner's reference row sums multiplied by factor."""
 
@@ -268,6 +273,12 @@ MUTANTS = [
         10,
         id="cigl-right-q^(n+1)",
     ),
+    pytest.param(
+        [(cigl, "cigl_q_stirling_table", cigl_right_weight_q_n_minus_one)],
+        polynomial_towers,
+        9,
+        id="cigl-right-q^(n-1)",
+    ),
     *(
         pytest.param(
             [(identities, "bell_via_sum", bell_reference_scaled(1 + sign * Fraction(1, 2**40)))],
@@ -325,6 +336,7 @@ def test_mutant_fails_a_verdict(monkeypatch, patches, verdicts, floor):
     "kind, tower, failing_rows",
     [
         pytest.param("cigl-q-stirling", cigl_right_weight_q_n_plus_one, list(range(1, 11)), id="cigl-right-q^(n+1)"),
+        pytest.param("cigl-q-stirling", cigl_right_weight_q_n_minus_one, list(range(2, 11)), id="cigl-right-q^(n-1)"),
         pytest.param("q-stirling", carlitz_left_weight_q_k, list(range(1, 11)), id="carlitz-left-q^k"),
         pytest.param("q-stirling", carlitz_row_6_swapped, [6], id="carlitz-row-6-swapped"),
         pytest.param(

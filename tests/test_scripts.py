@@ -88,7 +88,7 @@ def test_depth_past_partition_cap_runs_every_suite():
     result = run_sweep("--n-max", "14")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "0 failure(s)" in result.stdout
-    for header in ("cigl-dobinski (n <= 13)", "conjugation (n <= 14)", "pmf-gf (n <= 14)", "q1-reduction (n <= 14)"):
+    for header in ("cigl-dobinski (n <= 14)", "conjugation (n <= 14)", "pmf-gf (n <= 14)", "q1-reduction (n <= 14)"):
         assert header + "\n  [ok ] " in result.stdout
     assert "enumeration: brute-force count vs exact routes (n <= 13)" in result.stdout
     assert "  [ok ] restricted growth strings\n" in result.stdout
