@@ -23,14 +23,7 @@ from typing import Iterable, NamedTuple
 from . import exact_core
 from .errors import NonConvergentError
 from .exact_core import CertifiedValue, certified_sum
-from .umbral_engine import (
-    CLASSICAL,
-    GAUSS_Q,
-    PsiSequence,
-    bell_via_sum,
-    classical_stirling_table,
-    q_number_symbolic,
-)
+from .umbral_engine import PsiSequence, bell_via_sum, classical_stirling_table, q_number_symbolic
 
 
 def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
@@ -39,13 +32,14 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     This is the one place where the summation rule meets the sequence: it
     rejects lam <= 0 (ValueError) and lam outside the radius of exp_psi
     (NonConvergentError), and otherwise returns a threshold safely above the
-    asymptotic term ratio.  For a Gauss sequence with q < 1 the brackets tend
-    to 1/(1-q), so the term ratios tend to rho = lam*(1-q); at rho >= 1 the
-    terms do not even tend to zero, so this fails fast instead of grinding
-    toward the summation cap on ever-larger exact rationals.  Below that,
-    rho can exceed 1/2 (q=1/4 at lam=1 gives 3/4), and splitting the gap
-    toward 1 keeps the threshold reachable while the geometric tail bound
-    stays finite.  Every other kind has ratios that tend to 0.
+    asymptotic term ratio: 1/2, or (1 + rho)/2 for a Gauss sequence with q < 1.
+    There the brackets tend to 1/(1-q), so the term ratios tend to
+    rho = lam*(1-q) > 0; at rho >= 1 the terms do not even tend to zero, so this
+    fails fast instead of grinding toward the summation cap on ever-larger exact
+    rationals.  Below that, rho can exceed 1/2 (q=1/4 at lam=1 gives 3/4), and
+    the midpoint (1 + rho)/2, always above 1/2, keeps the threshold reachable
+    while the geometric tail bound stays finite.  At q >= 1 (classical is q = 1)
+    and for Fibonacci the ratios tend to 0.
 
     It is also the one place that proves certified_sum's tail bound: past
     the truncation point K, no term ratio of a series the package sums rises,
@@ -66,13 +60,12 @@ def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
     lam, thr = Fraction(lam), Fraction(1, 2)
     if lam <= 0:
         raise ValueError("lam must be positive")
-    if seq.kind == GAUSS_Q and seq.q < 1:
-        rho = lam * (1 - seq.q)
+    q = seq.bracket_q
+    if q is not None and q < 1:
+        rho = lam * (1 - q)
         if rho >= 1:
-            raise NonConvergentError(
-                f"exp_psi diverges for {seq.label} at lam={lam}: need lam < {1 / (1 - seq.q)}"
-            )
-        thr = max(thr, (1 + rho) / 2)
+            raise NonConvergentError(f"exp_psi diverges for {seq.label} at lam={lam}: need lam < {1 / (1 - q)}")
+        thr = (1 + rho) / 2
     cap = exact_core.SUM_CAP
     if not any(seq.value(k) * thr >= lam for k in range(1, cap + 1)):
         raise NonConvergentError(f"no certified truncation point within hard cap {cap}")
@@ -212,17 +205,17 @@ def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[Genera
 
     Neither verdict needs a new chain per n: check n reads one shared chain
     of q-differences after n steps, and the mean does not depend on n.
-    Only classical and gauss-q sequences carry the numeric q needed by the
-    q-difference operator.
+    The q-difference operator reads the sequence's bracket_q, which only the
+    Gauss brackets carry (classical at q = 1).
     """
-    if seq.kind not in (CLASSICAL, GAUSS_Q):
+    qv = seq.bracket_q
+    if qv is None:
         raise ValueError("generating-function check needs a classical or gauss-q sequence")
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    qv = Fraction(1) if seq.kind == CLASSICAL else seq.q
 
     coeffs = [lam**k / seq.factorial(k) for k in range(n_max + 1)]
     mean_ok = None

@@ -16,13 +16,12 @@ from typing import Callable, NamedTuple
 from .errors import NonConvergentError, UnsupportedSequenceError
 from .exact_core import CertifiedValue
 from .umbral_engine import (
-    CLASSICAL,
-    GAUSS_Q,
     PsiSequence,
     bell_via_sum,
     carlitz_q_stirling,
     classical_stirling_table,
     psi_stirling_diagnostic,
+    q_poisson_moments,
 )
 
 
@@ -48,16 +47,19 @@ def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
     from .dobinski import dobinski_bells
-    if seq.kind not in (CLASSICAL, GAUSS_Q):
+    q = seq.bracket_q
+    if q is None:
         _, (residual,) = psi_stirling_diagnostic(seq, 2, 3)
         raise UnsupportedSequenceError(
             "identity dobinski needs an exact reference value: use classical or q=<rational>"
             f" ({seq.label} has no constant-coefficient psi-Stirling expansion: fitted at n = 2,"
             f" it leaves residual {residual} at psi index 3)"
         )
-    table = carlitz_q_stirling(n_max, seq.q) if seq.kind == GAUSS_Q else classical_stirling_table(n_max)
+    table = classical_stirling_table(n_max) if q == 1 else carlitz_q_stirling(n_max, q)  # ints at q = 1
     expected = [bell_via_sum(table, n) for n in range(n_max + 1)]
-    return _series_cases(seq, dobinski_bells(seq, range(n_max + 1)), expected)
+    cases = _series_cases(seq, dobinski_bells(seq, range(n_max + 1)), expected)
+    moments = q_poisson_moments(q, 1, n_max)
+    return [case._replace(ok=case.ok and row_sum == moment) for case, row_sum, moment in zip(cases, expected, moments)]
 
 
 def cigl_dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
@@ -73,7 +75,7 @@ def conjugation(seq: PsiSequence, n_max: int) -> list[Case]:
 
 def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
     from .dobinski import generating_function_checks
-    if seq.kind not in (CLASSICAL, GAUSS_Q):
+    if seq.bracket_q is None:
         raise UnsupportedSequenceError("identity pmf-gf needs a classical or q=<rational> sequence")
     # At lam = 1 every q-difference of e_q(t) is e_q(t) again, so a chain read after the wrong
     # number of steps would still pass; the chain is checked at lam = 2, the mean at lam = 1.

@@ -2,11 +2,12 @@
 
 A psi-sequence assigns an exact rational to every non-negative index, with
 value 0 at index 0 and positive values afterwards.  The kinds are the
-classical integers, the Gauss q-brackets for a positive rational q and the
-Fibonacci numbers; each is defined at every index and never decreases, so
-every series that reads one has a tail.  From such a sequence we get
-generalized factorials and falling factorials.  Every Stirling tower
-comes from one three-term recurrence builder,
+Gauss q-brackets [k]_q = 1 + q*[k-1]_q for a positive rational q, the
+classical integers, which are the brackets at q = 1 (bracket_q names the
+q), and the Fibonacci numbers; each is defined at every index and never
+decreases, so every series that reads one has a tail.  From such a
+sequence we get generalized factorials and falling factorials.  Every
+Stirling tower comes from one three-term recurrence builder,
 T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from a seed T(0,0) that
 fixes the ring: left 1 and right k from the int 1 give the classical
 triangle; after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right
@@ -17,6 +18,7 @@ exact moment functional, substitutes the classical row sums for powers of x.
 
 import threading
 from fractions import Fraction
+from math import comb
 
 from .exact_core import Poly, Record
 
@@ -28,10 +30,11 @@ FIBONACCI = "fibonacci"
 class PsiSequence(Record):
     """An admissible sequence of exact rationals: psi(0)=0, psi(n)>0 for n>=1.
 
-    Its value is (kind, q); q is None unless the kind is gauss-q.  Every psi(n)
-    is read from one prefix grown from psi(0) = 0.  The prefixes of values and
-    factorials grow under its lock, so threads sharing a sequence get
-    single-thread results.
+    Its value is (kind, q); q is None unless the kind is gauss-q.  The classical
+    integers are the Gauss brackets at q = 1: bracket_q is 1 for them, q for
+    gauss-q and None for Fibonacci.  Every psi(n) is read from one prefix grown
+    from psi(0) = 0.  The prefixes of values and factorials grow under its lock,
+    so threads sharing a sequence get single-thread results.
     """
 
     __slots__ = ("kind", "q", "_prefix", "_factorials", "_lock")
@@ -64,6 +67,11 @@ class PsiSequence(Record):
         """The name a record prints: q=<q> for a Gauss sequence, else the kind."""
         return f"q={self.q}" if self.kind == GAUSS_Q else self.kind
 
+    @property
+    def bracket_q(self) -> int | Fraction | None:
+        """The q with psi(k) = [k]_q: 1 for classical, q for gauss-q, None for Fibonacci."""
+        return 1 if self.kind == CLASSICAL else self.q  # q is None unless the kind is gauss-q
+
     def value(self, n: int) -> Fraction:
         """psi(n), grown from the prefix by the kind's recurrence."""
         if n < 0:
@@ -72,12 +80,10 @@ class PsiSequence(Record):
         with self._lock:
             while len(vals) <= n:
                 k = len(vals)
-                if self.kind == CLASSICAL:
-                    vals.append(Fraction(k))
-                elif self.kind == FIBONACCI:
+                if self.kind == FIBONACCI:
                     vals.append(Fraction(1) if k == 1 else vals[k - 1] + vals[k - 2])
-                else:  # GAUSS_Q: [k]_q = 1 + q*[k-1]_q
-                    vals.append(1 + self.q * vals[k - 1])
+                else:  # [k]_q = 1 + q*[k-1]_q
+                    vals.append(1 + self.bracket_q * vals[k - 1])
         return vals[n]
 
     def factorial(self, n: int) -> Fraction:
@@ -94,8 +100,6 @@ class PsiSequence(Record):
         """psi(x)*psi(x-1)*...*psi(x-k+1); zero as soon as the index-0 value enters."""
         if x < 0 or k < 0:
             raise ValueError("falling factorial needs non-negative arguments")
-        if k == 0:
-            return Fraction(1)
         self.value(x)  # grows the prefix through x
         if k > x:
             return Fraction(0)
@@ -194,6 +198,22 @@ def bell_via_sum(table: StirlingTable, n: int) -> int | Fraction | Poly:
     """Row sum of a Stirling table in its own ring: the Bell number or polynomial."""
     first = table.entry(n, 0)  # checks n before the row is read
     return sum(table.rows[n][1:], first)
+
+
+def q_poisson_moments(q, lam, n_max: int) -> list:
+    """M_0..M_n_max, where M_n is E[[X]_q**n] under the q-Poisson law p_k ~ lam**k / [k]_q!.
+
+    For a psi-Poisson law E[psi(X)*f(X)] = lam*E[f(X+1)], since psi(k)/psi!(k) = 1/psi!(k-1)
+    (the Stein-Chen identity: Chen, Ann. Probab. 3, 1975).  With f = [X]_q**n and
+    [k+1]_q = 1 + q*[k]_q it gives M_{n+1} = lam * sum_j C(n,j) * q**j * M_j from M_0 = 1,
+    the Bell-Touchard recurrence at q = 1.  It reads q, lam and binomials only: no sequence,
+    tower or series, so at lam = 1 it is an independent reference for every q-Bell number.
+    """
+    moments, weighted = [1], []  # weighted[j] = q**j * M_j
+    for n in range(n_max):
+        weighted.append(q**n * moments[n])
+        moments.append(lam * sum(comb(n, j) * weighted[j] for j in range(n + 1)))
+    return moments
 
 
 def poisson_moment_exact(p: Poly):

@@ -7,6 +7,7 @@ verdict sees yet is a strict xfail with floor 1.
 
 from fractions import Fraction
 from itertools import chain
+from math import comb
 
 import pytest
 from helpers import tower_definition_failures
@@ -140,6 +141,14 @@ def bell_reference_scaled(factor):
     return mutant
 
 
+def q_poisson_moments_q_j_plus_one(q, lam, n_max):
+    """The q-Poisson moment recurrence with q**(j+1) in place of q**j: right at q = 1."""
+    moments = [1]
+    for n in range(n_max):
+        moments.append(lam * sum(comb(n, j) * q ** (j + 1) * moments[j] for j in range(n + 1)))
+    return moments
+
+
 def jackson_bracket_q_plus_q(coefficients, q):
     """The q-difference with [n]_q carried as q*[n-1]_q + q in place of 1 + q*[n-1]_q for n >= 2."""
     q = Fraction(q)
@@ -262,7 +271,7 @@ MUTANTS = [
         marks=pytest.mark.xfail(strict=True, reason="every falling moment is 1 at lam = 1: killed by ROADMAP item 2"),
     ),
     pytest.param(
-        [(identities, "carlitz_q_stirling", carlitz_left_weight_q_k)], series_verdicts, 34, id="carlitz-left-q^k"
+        [(identities, "carlitz_q_stirling", carlitz_left_weight_q_k)], series_verdicts, 36, id="carlitz-left-q^k"
     ),
     pytest.param(
         [(identities, "carlitz_q_stirling", carlitz_row_6_swapped)], polynomial_towers, 1, id="carlitz-row-6-swapped"
@@ -283,13 +292,16 @@ MUTANTS = [
         pytest.param(
             [(identities, "bell_via_sum", bell_reference_scaled(1 + sign * Fraction(1, 2**40)))],
             series_verdicts,
-            1,
+            52,
             id=f"dobinski-reference-times-1{'+-'[sign < 0]}2^-40",
-            marks=pytest.mark.xfail(
-                strict=True, reason="the intervals are too wide to see it: killed by ROADMAP item 1"
-            ),
         )
         for sign in (1, -1)
+    ),
+    pytest.param(
+        [(identities, "q_poisson_moments", q_poisson_moments_q_j_plus_one)],
+        series_verdicts,
+        36,
+        id="recurrence-q^(j+1)",
     ),
     pytest.param([(cigl, "partition_counts", counts_plus_one)], oracle, 9, id="partition-counts-plus-one"),
     pytest.param([(cigl, "_levels", levels_open_block_off_top)], oracle, 7, id="walk-last-not-top"),

@@ -81,6 +81,19 @@ def test_no_environment_below_the_cli(module):
     assert "getenv" not in called
 
 
+def test_only_umbral_engine_names_a_sequence_kind():
+    # every other module asks PsiSequence.bracket_q for the q of psi(k) = [k]_q, and never reads the kind
+    naming = []
+    for path in sorted((ROOT / "src" / "umbraldob").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        names = {node.id for node in nodes if isinstance(node, ast.Name)}
+        names |= {alias.name for node in nodes if isinstance(node, ast.ImportFrom) for alias in node.names}
+        attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        if names & {"CLASSICAL", "GAUSS_Q", "FIBONACCI"} or "kind" in attributes:
+            naming.append(path.name)
+    assert naming == ["umbral_engine.py"]
+
+
 def test_one_domain_error_handler_in_the_cli():
     # the command group catches every command's UmbralDobError; no command has its own handler
     tree = ast.parse((ROOT / "src" / "umbraldob" / "cli.py").read_text(encoding="utf-8"))

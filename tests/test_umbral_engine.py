@@ -21,6 +21,7 @@ from umbraldob.umbral_engine import (
     classical_stirling_table,
     psi_stirling_diagnostic,
     q_number_symbolic,
+    q_poisson_moments,
     recurrence_table,
     stirling2,
 )
@@ -160,6 +161,13 @@ class TestPsiSequence:
             with pytest.raises(AttributeError):
                 setattr(seq, name, value)
         assert (seq.kind, seq.q, seq.label) == ("gauss-q", Fraction(1, 3), "q=1/3")
+
+    def test_bracket_q(self):
+        assert CLASSICAL.bracket_q == 1 and type(CLASSICAL.bracket_q) is int
+        assert PsiSequence.gauss_q(Fraction(3, 2)).bracket_q == Fraction(3, 2)
+        one = PsiSequence.gauss_q(1).bracket_q
+        assert one == 1 and type(one) is Fraction
+        assert FIB.bracket_q is None
 
     def test_gauss_q_one_matches_classical(self):
         one = PsiSequence.gauss_q(1)
@@ -312,6 +320,24 @@ class TestBellViaSum:
         t = carlitz_q_stirling(9)
         for n in range(10):
             assert bell_via_sum(t, n).evaluate(Fraction(1)) == naive_bell(n)
+
+
+class TestQPoissonMoments:
+    @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), 1], ids=str)
+    @pytest.mark.parametrize("lam", [1, 2, Fraction(1, 3)], ids=str)
+    def test_recurrence_is_the_touchard_polynomial_of_the_tower(self, q, lam):
+        # M_n(lam) = sum_k S_q(n, k) * lam**k, read from the Carlitz tower at q and, at q = 1, the int triangle
+        towers = [carlitz_q_stirling(20, q)] + ([classical_stirling_table(20)] if q == 1 else [])
+        moments = q_poisson_moments(q, lam, 20)
+        assert len(moments) == 21
+        for tower in towers:
+            assert [sum(entry * lam**k for k, entry in enumerate(row)) for row in tower.rows] == moments
+
+    def test_classical_bell_numbers_are_ints(self):
+        moments = q_poisson_moments(1, 1, 12)
+        assert moments == [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]  # OEIS A000110
+        assert all(type(m) is int for m in moments)
+        assert q_poisson_moments(Fraction(1, 2), 1, 0) == [1]
 
 
 class TestDiagnostic:
