@@ -9,8 +9,8 @@ rota_bell_exact gives the Bell number with no interval, as a row sum of the
 classical Stirling triangle.  A sweep over n sums the normalizer exp_psi(1)
 once and builds the terms of row n from those of row n-1, one psi factor each
 (entry (n, k) is falling(k, n) / psi!(k) or psi(k)**n / psi!(k), never the
-shifted 1 / psi!(k-n)); the generating-function route runs one q-difference
-chain and one mean sum per sweep.
+shifted 1 / psi!(k-n)); the generating-function route is two calls, one
+q-difference chain and one mean sum, per sweep.
 
 Every series is truncated by one rule: certified_sum with the threshold
 default_ratio_threshold(seq, lam), which also rejects lam outside the domain
@@ -181,36 +181,34 @@ def jackson_derivative(coefficients: tuple, q) -> tuple:
 
 
 class GeneratingFunctionCheck(NamedTuple):
-    """Verdicts of the generating-function route; mean_ok is None when skipped."""
+    """verify_pmf_via_generating_function's verdicts for one n: the chain's, and the mean's at lam = 1, else None."""
 
     coefficient_ok: bool
     mean_ok: bool | None
 
 
-def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[GeneratingFunctionCheck]:
+def _gauss_q(seq: PsiSequence):
+    """The q of the q-difference operator: seq.bracket_q, which only the Gauss brackets carry (classical at q = 1)."""
+    if seq.bracket_q is None:
+        raise ValueError("generating-function check needs a classical or gauss-q sequence")
+    return seq.bracket_q
+
+
+def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[bool]:
     """Check the pmf against its generating function G(t) = sum_k p_k t**k, for n = 0..n_max.
 
-    Verdict 1: the n-th q-difference of the series cut after degree n_max, at t = 0,
+    The n-th q-difference of the series cut after degree n_max, at t = 0,
     must be lam**n, since D_q e_q(lam*t) = lam * e_q(lam*t); divided by the
     q-factorial of n built from q_number_symbolic, it must also reproduce the
     k = n series coefficient exactly.  The first equality reads psi, which the
     second cancels; the second checks the bracket of jackson_derivative
     against q_number_symbolic.  The common normalizer of the pmf cancels on
     both sides, so both are exact equalities of rationals and stay meaningful
-    even at lam where the normalizer itself diverges.
-
-    Verdict 2 (only at lam = 1, where the mean identity holds): a certified
-    interval for the normalized value of the q-difference of G at t = 1 must
-    contain 1.  At other lam the verdict is reported as skipped (None).
-
-    Neither verdict needs a new chain per n: check n reads one shared chain
-    of q-differences after n steps, and the mean does not depend on n.
-    The q-difference operator reads the sequence's bracket_q, which only the
-    Gauss brackets carry (classical at q = 1).
+    even at lam where the normalizer itself diverges.  Check n reads one
+    shared chain of q-differences after n steps, so no chain is built per n.
+    The mean of the route, which does not depend on n, is generating_function_mean_ok.
     """
-    qv = seq.bracket_q
-    if qv is None:
-        raise ValueError("generating-function check needs a classical or gauss-q sequence")
+    qv = _gauss_q(seq)
     lam = Fraction(lam)
     if lam <= 0:
         raise ValueError("lam must be positive")
@@ -218,22 +216,26 @@ def generating_function_checks(seq: PsiSequence, lam, n_max: int) -> list[Genera
         raise ValueError("n must be non-negative")
 
     coeffs = [lam**k / seq.factorial(k) for k in range(n_max + 1)]
-    mean_ok = None
-    if lam == 1:
-        thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
-        mean = certified_sum(lambda k: q_number_symbolic(k).evaluate(qv) / seq.factorial(k), thr)
-        mean_ok = mean.div_by_positive(normalizer).contains(1)
     series, q_factorial, checks = tuple(coeffs), Fraction(1), []
     for n in range(n_max + 1):
         if n:
             series = jackson_derivative(series, qv)
             q_factorial *= q_number_symbolic(n).evaluate(qv)
-        checks.append(GeneratingFunctionCheck(series[0] == lam**n and series[0] / q_factorial == coeffs[n], mean_ok))
+        checks.append(series[0] == lam**n and series[0] / q_factorial == coeffs[n])
     return checks
 
 
+def generating_function_mean_ok(seq: PsiSequence) -> bool:
+    """The pmf-gf mean verdict of a classical or gauss-q seq at lam = 1, where the mean identity holds: the certified
+    interval for D_q G(1) = sum_k [k]_q / psi!(k) / exp_psi(1), [k]_q from q_number_symbolic, must contain 1."""
+    q, thr, normalizer = _gauss_q(seq), default_ratio_threshold(seq, 1), psi_exp(seq, 1)
+    mean = certified_sum(lambda k: q_number_symbolic(k).evaluate(q) / seq.factorial(k), thr)
+    return mean.div_by_positive(normalizer).contains(1)
+
+
 def verify_pmf_via_generating_function(seq: PsiSequence, lam, n: int, order: int) -> GeneratingFunctionCheck:
-    """The verdicts of generating_function_checks for one n; order >= n, but no coefficient past n is read."""
+    """Check n of generating_function_checks, and the mean at lam = 1; order >= n, no coefficient past n is read."""
     if order < n:
         raise ValueError("order must be at least n")
-    return generating_function_checks(seq, lam, n)[n]
+    coefficient_ok = generating_function_checks(seq, lam, n)[n]
+    return GeneratingFunctionCheck(coefficient_ok, generating_function_mean_ok(seq) if Fraction(lam) == 1 else None)

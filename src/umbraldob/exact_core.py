@@ -20,16 +20,17 @@ SUM_CAP = 10_000  # no series term past this index is ever read
 class Poly:
     """Immutable dense polynomial in one variable; coefficient ``i`` multiplies its i-th power.
 
-    Coefficients are exact scalars (int or Fraction) or Poly values, as in
-    cigl_q_power's powers of x with q-polynomial coefficients; no variable is named.
-    The zero polynomial stores an empty coefficient tuple; trailing zero
-    coefficients are stripped on construction.
+    Coefficients are exact scalars (int or Fraction) or Poly values, as in cigl_q_power's
+    powers of x with q-polynomial coefficients; no variable is named.  Every zero
+    coefficient, Poly(()) included, is stored as the int 0 and trailing ones are stripped,
+    so the zero polynomial stores an empty tuple.  A Poly equals only a Poly with the same
+    coefficients, never a scalar, and hashes as its coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = list(coeffs)
+        cs = [c or 0 for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -50,16 +51,10 @@ class Poly:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if not self.coeffs:
-                return other == 0
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
-        return NotImplemented
+        return self.coeffs == other.coeffs if isinstance(other, Poly) else NotImplemented
 
-    def __hash__(self):  # as __eq__: a constant hashes as its scalar, the zero polynomial as 0
-        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
+    def __hash__(self):
+        return hash(self.coeffs)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -187,8 +182,9 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
     cross-multiplies integers.
 
     Raises NegativeTermError on a negative term and NonConvergentError when
-    no truncation point qualifies without reading a term past index SUM_CAP;
-    a series whose terms up to SUM_CAP all vanish sums to [0, 0].
+    no truncation point qualifies without reading a term past index SUM_CAP,
+    also when every term up to SUM_CAP vanishes: the positive terms, if any,
+    lie past the cap, so no interval read up to it is a proof.
     """
     thr = Fraction(ratio_threshold)
     if not 0 < thr < 1:
@@ -204,6 +200,4 @@ def certified_sum(term: Callable[[int], Scalar], ratio_threshold: Scalar) -> Cer
         if last and v.numerator * last.denominator * thr.denominator <= thr.numerator * last.numerator * v.denominator:
             return CertifiedValue(partial, partial + tail_factor * v)
         partial, last = partial + v, v
-    if not partial:  # identically zero as far as the cap lets us look
-        return CertifiedValue(0, 0)
     raise NonConvergentError(f"no certified truncation point within hard cap {cap}")

@@ -74,7 +74,7 @@ def conjugation(seq: PsiSequence, n_max: int) -> list[Case]:
 
 
 def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
-    from .dobinski import generating_function_checks
+    from .dobinski import generating_function_checks, generating_function_mean_ok
     if seq.bracket_q is None:
         raise UnsupportedSequenceError("identity pmf-gf needs a classical or q=<rational> sequence")
     # At lam = 1 every q-difference of e_q(t) is e_q(t) again, so a chain read after the wrong
@@ -82,12 +82,12 @@ def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
     # The ratio lemma gives every supported sequence a truncation point at lam = 1, so a mean that
     # finds none has met a kernel fault: a failed verdict, not unusable input.
     try:
-        mean_ok = generating_function_checks(seq, 1, 0)[0].mean_ok
+        mean_ok = generating_function_mean_ok(seq)
     except NonConvergentError:
         mean_ok = False
     return [
-        Case({"seq": seq.label, "n": n}, check.coefficient_ok and mean_ok)
-        for n, check in enumerate(generating_function_checks(seq, 2, n_max))
+        Case({"seq": seq.label, "n": n}, coefficient_ok and mean_ok)
+        for n, coefficient_ok in enumerate(generating_function_checks(seq, 2, n_max))
     ]
 
 

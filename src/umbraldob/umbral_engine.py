@@ -117,21 +117,23 @@ def q_number_symbolic(n: int) -> Poly:
 
 
 class StirlingTable(Record):
-    """Triangular array of Stirling entries, rows 0..n_max.
+    """Triangular array of Stirling entries: row n holds n + 1, and n_max is the last row's n.
 
     The entries are ints for the classical triangle, and polynomials for the q-towers or
     Fractions for a Carlitz tower at a rational q; every entry of one table lies in one ring.
     """
 
-    __slots__ = ("n_max", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, n_max: int, rows: tuple[tuple[int | Fraction | Poly, ...], ...]):
-        if len(rows) != n_max + 1:
-            raise ValueError("row count must be n_max + 1")
+    def __init__(self, rows: tuple[tuple[int | Fraction | Poly, ...], ...]):
         for n, row in enumerate(rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} must have {n + 1} entries")
-        self._init(n_max=n_max, rows=rows)
+        self._init(rows=rows)
+
+    @property
+    def n_max(self) -> int:
+        return len(self.rows) - 1
 
     def entry(self, n: int, k: int) -> int | Fraction | Poly:
         if not 0 <= n <= self.n_max:
@@ -160,7 +162,7 @@ def recurrence_table(n_max: int, left, right, seed: int | Fraction | Poly) -> St
                 for k in range(n + 2)
             )
         )
-    return StirlingTable(n_max, tuple(rows))
+    return StirlingTable(tuple(rows))
 
 
 def classical_stirling_table(n_max: int) -> StirlingTable:

@@ -16,6 +16,7 @@ from umbraldob.dobinski import (
     dobinski_bells,
     falling_moments,
     generating_function_checks,
+    generating_function_mean_ok,
     jackson_derivative,
     psi_exp,
     rota_bell_exact,
@@ -23,7 +24,7 @@ from umbraldob.dobinski import (
     verify_pmf_via_generating_function,
 )
 from umbraldob.errors import NonConvergentError
-from umbraldob.exact_core import CertifiedValue, Poly, certified_sum
+from umbraldob.exact_core import SUM_CAP, CertifiedValue, Poly, certified_sum
 from umbraldob.identities import RUNNERS
 from umbraldob.umbral_engine import PsiSequence, poisson_moment_exact, q_number_symbolic
 
@@ -63,7 +64,7 @@ class TestDefaultThreshold:
             (PsiPoissonDistribution.create, HALF, Fraction(3, 2)),
             (lambda seq, lam: verify_falling_moment(seq, 3), HALF, 1),
             (lambda seq, lam: dobinski_bell(seq, 3), QUARTER, 1),
-            (lambda seq, lam: generating_function_checks(seq, lam, 2), HALF, 1),
+            (lambda seq, lam: generating_function_mean_ok(seq), HALF, 1),
             (lambda seq, lam: falling_moments(seq, range(4)), HALF, 1),
             (lambda seq, lam: dobinski_bells(seq, range(4)), QUARTER, 1),
         ],
@@ -124,7 +125,7 @@ class TestTailLemma:
             for n, v in zip(ns, reads[-31:])
         ]
         if seq != FIB:
-            generating_function_checks(seq, 1, 0)
+            generating_function_mean_ok(seq)
             series.append(("pmf-gf mean", lambda k: 1 / psi(k), reads[-1]))
         for name, ratio, values in series:
             last = len(values) - 2  # the truncation index: certified_sum reads no term past it + 1
@@ -218,6 +219,11 @@ class TestFallingMoment:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             verify_falling_moment(CLASSICAL, -1)
+
+    def test_row_past_the_cap_has_no_interval(self):
+        # every term up to SUM_CAP vanishes, so no interval read up to the cap brackets the moment 1
+        with pytest.raises(NonConvergentError, match=f"hard cap {SUM_CAP}"):
+            verify_falling_moment(PsiSequence.classical(), SUM_CAP + 1)
 
     # Every kind, Gauss at q below and above 1.
     WEIGHT_SEQS = [
@@ -392,6 +398,8 @@ class TestGeneratingFunction:
             verify_pmf_via_generating_function(CLASSICAL, 0, 2, 8)
         with pytest.raises(ValueError):
             verify_pmf_via_generating_function(CLASSICAL, 1, -1, 4)
+        with pytest.raises(ValueError, match="classical or gauss-q"):
+            generating_function_mean_ok(FIB)  # the mean on its own, as the runner calls it
 
     @pytest.mark.parametrize("n", range(5))
     def test_orders_zero_through_four(self, n):
@@ -403,14 +411,25 @@ class TestGeneratingFunction:
     def test_shared_chain_matches_definition(self, seq, lam):
         order = 16
         checks = generating_function_checks(seq, lam, 12)
-        assert len(checks) == 13
+        assert len(checks) == 13 and all(type(check) is bool for check in checks)
         coeffs = [Fraction(lam) ** k / seq.factorial(k) for k in range(order + 1)]
         q = 1 if seq is CLASSICAL else seq.q
+        # at lam = 1 the normalized mean is exactly 1; elsewhere it is skipped
+        mean_ok = generating_function_mean_ok(seq) if lam == 1 else None
+        assert mean_ok is (True if lam == 1 else None)
         for n, check in enumerate(checks):
-            assert check.coefficient_ok == naive_gf_coefficient_verdict(coeffs, q, n, lam)
-            # at lam = 1 the normalized mean is exactly 1; elsewhere it is skipped
-            assert check.mean_ok is (True if lam == 1 else None)
-            assert check == verify_pmf_via_generating_function(seq, lam, n, order)
+            assert check == naive_gf_coefficient_verdict(coeffs, q, n, lam)
+            assert verify_pmf_via_generating_function(seq, lam, n, order) == GeneratingFunctionCheck(check, mean_ok)
+
+    def test_runner_calls_the_chain_and_the_mean_once(self, monkeypatch):
+        # the chain is checked at lam = 2 for every n at once, the mean at lam = 1 for all n
+        calls = []
+        for name in ("generating_function_checks", "generating_function_mean_ok"):
+            real = getattr(dobinski, name)
+            spy = lambda *args, real=real, name=name: calls.append((name, args)) or real(*args)
+            monkeypatch.setattr(dobinski, name, spy)
+        assert [case.ok for case in RUNNERS["pmf-gf"](HALF, 5)] == [True] * 6
+        assert calls == [("generating_function_mean_ok", (HALF,)), ("generating_function_checks", (HALF, 2, 5))]
 
     def test_runner_sums_the_mean_once(self, monkeypatch):
         calls, real = [], dobinski.certified_sum
@@ -439,9 +458,9 @@ class TestGeneratingFunction:
             stepped.append(s)
             return s
 
-        assert all(c.coefficient_ok and c.mean_ok for c in generating_function_checks(HALF, 1, 6))
+        assert all(generating_function_checks(HALF, 1, 6)) and generating_function_mean_ok(HALF)
         monkeypatch.setattr(dobinski, "jackson_derivative", skip_first_step)
-        assert all(c.coefficient_ok and c.mean_ok for c in generating_function_checks(HALF, 1, 6))
+        assert all(generating_function_checks(HALF, 1, 6)) and generating_function_mean_ok(HALF)
         verdicts = [case.ok for case in RUNNERS["pmf-gf"](HALF, 6)]
         assert verdicts == [True] + [False] * 6
 
@@ -451,5 +470,5 @@ class TestGeneratingFunction:
         monkeypatch.setattr(PsiSequence, "factorial", lambda self, n: Fraction(n * n + 7, 3))
         for seq in (PsiSequence.classical(), PsiSequence.gauss_q(Fraction(3, 2))):
             with pytest.raises(NonConvergentError):
-                generating_function_checks(seq, 1, 0)
+                generating_function_mean_ok(seq)
             assert [case.ok for case in RUNNERS["pmf-gf"](seq, 12)] == [False] * 13

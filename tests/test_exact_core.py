@@ -41,17 +41,25 @@ class TestPoly:
         assert p.coefficient(7) == 0
         assert Poly(()).degree == -1
 
-    def test_scalar_equality(self):
-        assert Poly((5,)) == 5
-        assert Poly(()) == 0
-        assert Poly((0, 1)) != 5
+    def test_equals_only_a_poly(self):
+        # a constant is not its scalar: equality and hash read the coefficient tuple only
+        assert Poly((5,)) != 5 and 5 != Poly((5,))
+        assert Poly(()) != 0
+        assert Poly((Poly((1,)), 2)) != Poly((1, 2))  # a Poly coefficient is not a scalar either
+        assert Poly((5,)) == Poly((Fraction(5),))
 
-    def test_hash_agrees_with_equality(self):
-        # values that compare equal hash equal, so a set or dict key holds one of them
-        assert len({Poly((5,)), 5}) == 1 and hash(Poly((Fraction(1, 2),))) == hash(Fraction(1, 2))
-        assert hash(Poly(())) == hash(0)
-        nested = Poly((Poly((1,)), 2))
-        assert nested == Poly((1, 2)) and hash(nested) == hash(Poly((1, 2)))
+    def test_zero_coefficients_are_canonical(self):
+        # a zero coefficient is stored as the int 0 whichever ring it came from, so equal values compare equal
+        x = Poly((0, 1))
+        assert Poly((Poly(()), x)) == Poly((0, x)) and hash(Poly((Poly(()), x))) == hash(Poly((0, x)))
+        assert Poly((Fraction(0), 1)).coeffs == (0, 1) and Poly((Poly(()),)) == Poly(())
+        one = Poly((1,))
+        # (1 + x)(1 - x): the products into x cancel to Poly(()), which is stored as the int 0 too
+        assert (Poly((one, one)) * Poly((one, -one))).coeffs == (one, 0, -one)
+
+    def test_hash_is_the_coefficient_tuple(self):
+        assert len({5, Poly((5,))}) == 2 and len({Poly((5,)), Poly((Fraction(5),))}) == 1
+        assert hash(Poly((5,))) == hash((5,)) and hash(Poly(())) == hash(())
 
     @given(polys, polys, polys)
     @settings(max_examples=120)
@@ -135,8 +143,9 @@ class TestCertifiedSum:
         assert certified_sum(term, Fraction(1, 4)) == CertifiedValue(lo, lo + Fraction(4, 3) * term(4))
 
     def test_zero_series(self):
-        got = certified_sum(lambda k: Fraction(0), Fraction(1, 2))
-        assert (got.lo, got.hi) == (0, 0)
+        # terms that vanish up to SUM_CAP prove nothing about the terms past it
+        with pytest.raises(NonConvergentError, match="no certified truncation point within hard cap"):
+            certified_sum(lambda k: Fraction(0), Fraction(1, 2))
 
     def test_square_weighted_series(self):
         term = lambda k: Fraction(k * k, factorial(k))

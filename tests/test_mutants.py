@@ -119,7 +119,7 @@ def carlitz_row_6_swapped(n_max, q=None):
     rows = REAL_CARLITZ(n_max, q).rows
     if n_max >= 6:
         rows = (*rows[:6], (*rows[6][:2], rows[6][3], rows[6][2], *rows[6][4:]), *rows[7:])
-    return StirlingTable(n_max, rows)
+    return StirlingTable(rows)
 
 
 def cigl_right_weight_q_n_plus_one(n_max):

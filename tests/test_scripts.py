@@ -1,5 +1,7 @@
-"""Smoke tests for the identity sweep script, which runs the identity registry."""
+"""Smoke tests for the identity sweep script, which runs the identity registry, and the mutation survey."""
 
+import ast
+import importlib
 import os
 import runpy
 import subprocess
@@ -13,6 +15,7 @@ from umbraldob.identities import Case
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = str(ROOT / "scripts" / "run_identity_suite.py")
+SURVEY = str(ROOT / "scripts" / "mutation_survey.py")
 
 
 def run_sweep(*flags):
@@ -92,3 +95,56 @@ def test_depth_past_partition_cap_runs_every_suite():
         assert header + "\n  [ok ] " in result.stdout
     assert "enumeration: brute-force count vs exact routes (n <= 13)" in result.stdout
     assert "  [ok ] restricted growth strings\n" in result.stdout
+
+
+def test_survey_help_exits_zero():
+    result = subprocess.run([sys.executable, SURVEY, "--help"], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def test_survey_mutants_and_reviewed_list():
+    survey = runpy.run_path(SURVEY)
+    keys = {m.key: m for module in survey["MODULES"] for m in survey["mutants"](module)}
+    assert set(survey["EQUIVALENT"]) <= set(keys)  # every reviewed entry still names a mutant
+    eq = keys["exact_core.Poly.__eq__: self.coeffs == other.coeffs -> self.coeffs != other.coeffs"]
+    assert "self.coeffs != other.coeffs" in survey["mutated_source"](eq)
+    assert not any(".__hash__" in key for key in keys)  # a Poly hashes its tuple: no literal, no operator
+    assert "exact_core.Poly.__mul__: i + j -> i - j #2" in keys  # the second identical change in one function
+    assert survey["classify"](eq) == ("verdict", [])
+
+
+# Kernels in which the survey finds no survivor: each of their mutants must fail a verdict or raise.
+SURVEY_KERNELS = {
+    "umbral_engine": ("recurrence_table", "carlitz_q_stirling"),
+    "cigl": ("cigl_q_stirling_table", "cigl_q_power", "partition_counts", "_levels"),
+    "operator_calc": ("apply_number_operator",),
+    "dobinski": ("jackson_derivative",),
+}
+
+
+def test_no_kernel_mutant_survives_in_process(monkeypatch):
+    # in this process, each mutated kernel replaces the real one wherever a module holds it
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    survey = runpy.run_path(SURVEY)
+    assert survey["run_verdicts"]() == (True, [])
+    modules = [importlib.import_module(f"umbraldob.{name}") for name in survey["MODULES"]]
+    survivors, count = [], 0
+    for module_name, functions in SURVEY_KERNELS.items():
+        module = importlib.import_module(f"umbraldob.{module_name}")
+        for mutant in (m for m in survey["mutants"](module_name) if m.function in functions):
+            tree = ast.parse(Path(module.__file__).read_text())
+            _, node, index, _ = survey["sites"](tree)[mutant.site]
+            survey["_apply"](node, index)
+            definition = next(d for d in tree.body if getattr(d, "name", None) == mutant.function)
+            defined = {}
+            exec(compile(ast.Module([definition], []), module.__file__, "exec"), module.__dict__, defined)
+            real = getattr(module, mutant.function)
+            with monkeypatch.context() as patch:
+                for holder in modules:
+                    for name, value in list(vars(holder).items()):
+                        if value is real:
+                            patch.setattr(holder, name, defined[mutant.function])
+                if survey["run_verdicts"]() == (True, []):
+                    survivors.append(mutant.key)
+            count += 1
+    assert count > 0 and survivors == []

@@ -285,19 +285,24 @@ class TestCarlitzTable:
 class TestStirlingTable:
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            StirlingTable(2, ((1,), (0, 1)))  # one row short
+            StirlingTable(((1,), (0,)))  # a short row
         with pytest.raises(ValueError):
-            StirlingTable(0, ((1,), (0, 1)))  # one row too many
-        with pytest.raises(ValueError):
-            StirlingTable(1, ((1,), (0,)))  # a short row
+            StirlingTable(((1,), (0, 1), (0, 1, 1, 0)))  # a long row
+        with pytest.raises(TypeError):
+            StirlingTable(1, ((1,), (0, 1)))  # the rows alone fix n_max
+
+    @pytest.mark.parametrize("rows", [(), ((1,),), ((1,), (0, 1)), classical_stirling_table(6).rows])
+    def test_n_max_counts_the_rows(self, rows):
+        t = StirlingTable(rows)
+        assert t.n_max == len(rows) - 1 and StirlingTable.__slots__ == ("rows",)
 
     def test_value_type(self):
-        t = StirlingTable(1, ((1,), (0, 1)))
+        t = StirlingTable(((1,), (0, 1)))
         assert t == classical_stirling_table(1) and hash(t) == hash(classical_stirling_table(1))
         assert t != classical_stirling_table(2)
         with pytest.raises(AttributeError):
             t.n_max = 2
-        assert pickle.loads(pickle.dumps(t)) == t
+        assert pickle.loads(pickle.dumps(t)) == t and repr(t) == "StirlingTable(rows=((1,), (0, 1)))"
 
 
 class TestBellViaSum:
