@@ -53,8 +53,10 @@ EQUIVALENT = {
         "the constructor strips the two extra zero coefficients",
     "umbral_engine.PsiSequence.falling: 1 -> 2":
         "numerator and denominator start from one common factor, which Fraction cancels",
-    "umbral_engine.poisson_moment_exact: max(p.degree, 0) -> max(p.degree, 1)":
-        "one more table row, which no power of p reads",
+    "umbral_engine.poisson_moment_exact: len(coeffs) - 1 -> len(coeffs) + 1":
+        "two more table rows, which no coefficient reads",
+    "umbral_engine.poisson_moment_exact: max(len(coeffs) - 1, 0) -> max(len(coeffs) - 1, 1)":
+        "one more table row below two coefficients, which no coefficient reads",
     "dobinski.default_ratio_threshold: Fraction(1, 2) -> Fraction(1, 3)":
         "the tail lemma holds at any threshold: 1/3 is as sound as 1/2, with wider intervals",
     "dobinski.default_ratio_threshold: range(1, cap + 1) -> range(2, cap + 1)":

@@ -6,8 +6,8 @@ appearance, so rgs[0] = 0 and rgs[i] <= 1 + max(rgs[:i]).  The statistic
 attached to a partition is the sum of the elements in the block containing
 0.  Counting partitions weighted by q**statistic gives q-analogues of the
 Stirling and Bell numbers that are genuinely different from the Carlitz
-ones, yet satisfy their own exact Dobinski-type identity, checked here by
-expanding a product of shifted powers and substituting Bell numbers.  The
+ones, yet satisfy their own exact Dobinski-type identity, checked here by a
+product of shifted powers, built by shift and subtract, against Bell numbers.  The
 weighted counts T(n,k) over k-block partitions obey the recurrence
 T(n+1,k) = T(n,k-1) + (q**n + k - 1)*T(n,k) from T(0,0) = 1, and the tower
 is built from it; enumeration stays the independent check.  The oracle's
@@ -110,25 +110,25 @@ def cigl_q_bell(n: int) -> Poly:
     return bell_via_sum(cigl_q_stirling_table(n), n)
 
 
-def cigl_q_power(n: int) -> Poly:
-    """The product x * (x + q - 1) * (x + q**2 - 1) * ... * (x + q**(n-1) - 1).
+def cigl_q_power(n: int) -> tuple[Poly, ...]:
+    """The q-polynomial coefficients of x**0..x**n in x * (x + q - 1) * ... * (x + q**(n-1) - 1).
 
-    Returned as a polynomial in x whose coefficients are q-polynomials; the
-    empty product at n = 0 is the constant 1.
+    Times x + q**i - 1, coefficient k becomes out[k-1] + q**i*out[k] - out[k]; q**i*out[k] is
+    out[k] shifted up i places, so no polynomial multiplies another.  At n = 0 it is (1,).
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    out = Poly((Poly((1,)),))
-    for i in range(n):
-        out = out * Poly((Poly.monomial(1, i) - 1, Poly((1,))))
+    out = (Poly((1,)),)
+    for i in range(n):  # a, b = out[k-1], out[k] for k = 0..i+1, with out[-1] = out[i+1] = 0
+        out = tuple(a + Poly((0,) * i + b.coeffs) - b for a, b in zip((Poly(), *out), (*out, Poly())))
     return out
 
 
 def cigl_q_dobinski_exact(n: int) -> Poly:
     """Exact moment evaluation of the shifted q-power product.
 
-    Expands cigl_q_power(n) in x and substitutes each power of x by the
-    matching Bell number, coefficient-wise over the q-polynomials.  The
-    result must coincide with cigl_q_bell(n) as an exact polynomial.
+    Substitutes each power x**k of cigl_q_power(n) by the Bell number B(k),
+    so the result is a sum of q-polynomials times integers.  It must
+    coincide with cigl_q_bell(n) as an exact polynomial.
     """
     return poisson_moment_exact(cigl_q_power(n))

@@ -20,17 +20,15 @@ SUM_CAP = 10_000  # no series term past this index is ever read
 class Poly:
     """Immutable dense polynomial in one variable; coefficient ``i`` multiplies its i-th power.
 
-    Coefficients are exact scalars (int or Fraction) or Poly values, as in cigl_q_power's
-    powers of x with q-polynomial coefficients; no variable is named.  Every zero
-    coefficient, Poly(()) included, is stored as the int 0 and trailing ones are stripped,
-    so the zero polynomial stores an empty tuple.  A Poly equals only a Poly with the same
-    coefficients, never a scalar, and hashes as its coefficient tuple.
+    Coefficients are exact scalars (int or Fraction); no variable is named.  Trailing
+    zeros are stripped, so the zero polynomial stores an empty tuple.  A Poly equals only
+    a Poly with the same coefficients, never a scalar, and hashes as its coefficient tuple.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [c or 0 for c in coeffs]
+    def __init__(self, coeffs: Iterable[Scalar] = ()):
+        cs = list(coeffs)
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)

@@ -13,7 +13,7 @@ fixes the ring: left 1 and right k from the int 1 give the classical
 triangle; after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right
 [k]_q from 1 in the ring of q give the Carlitz q-analogue.  No table is cached:
 each caller builds the tower it reads and holds it.  poisson_moment_exact, the
-exact moment functional, substitutes the classical row sums for powers of x.
+exact moment functional, weights coefficient m of a coefficient sequence by B(m).
 """
 
 import threading
@@ -218,15 +218,13 @@ def q_poisson_moments(q, lam, n_max: int) -> list:
     return moments
 
 
-def poisson_moment_exact(p: Poly):
-    """Apply the exact moment functional: substitute the m-th power by the m-th Bell number.
+def poisson_moment_exact(coeffs):
+    """The exact moment functional: sum of coeffs[m] * B(m), the m-th power read as the m-th Bell number.
 
-    For scalar coefficients the result is a Fraction; polynomial coefficients
-    (powers of x weighted by q-polynomials) pass through coefficient-wise and
-    yield a polynomial.
+    Scalar coefficients give a Fraction, and q-polynomial ones, as in cigl_q_power, a Poly.
     """
-    table, acc = classical_stirling_table(max(p.degree, 0)), Fraction(0)
-    for m, c in enumerate(p.coeffs):
+    table, acc = classical_stirling_table(max(len(coeffs) - 1, 0)), Fraction(0)
+    for m, c in enumerate(coeffs):
         acc = acc + c * bell_via_sum(table, m)
     return acc
 

@@ -160,10 +160,22 @@ class TestWeightedCount:
 
 class TestQPowerProduct:
     def test_small_products(self):
-        assert cigl_q_power(0) == Poly((Poly((1,)),))
-        assert cigl_q_power(1) == Poly((Poly(()), Poly((1,))))
+        one = Poly((1,))
+        assert cigl_q_power(0) == (one,)
+        assert cigl_q_power(1) == (Poly(()), one)
         # x * (x + q - 1) = (q - 1) x + x**2
-        assert cigl_q_power(2) == Poly((Poly(()), Poly((-1, 1)), Poly((1,))))
+        assert cigl_q_power(2) == (Poly(()), Poly((-1, 1)), one)
+        # x * (x + q - 1) * (x + q**2 - 1) = (q - 1)(q**2 - 1) x + (q**2 + q - 2) x**2 + x**3
+        assert cigl_q_power(3) == (Poly(()), Poly((1, -1, -1, 1)), Poly((-2, 1, 1)), one)
+
+    def test_builds_without_polynomial_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("cigl_q_power multiplied polynomials")
+
+        monkeypatch.setattr(Poly, "__mul__", refuse)
+        monkeypatch.setattr(Poly, "__rmul__", refuse)
+        monkeypatch.setattr(Poly, "monomial", classmethod(refuse))
+        assert [len(cigl_q_power(n)) for n in range(8)] == list(range(1, 9))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -176,9 +188,7 @@ class TestQPowerProduct:
             prod = Fraction(1)
             for i in range(n):
                 prod *= x + q**i - 1
-            spread = cigl_q_power(n).evaluate(x)  # a q-polynomial
-            got = spread.evaluate(q) if isinstance(spread, Poly) else Fraction(spread)
-            assert got == prod
+            assert sum(c.evaluate(q) * x**k for k, c in enumerate(cigl_q_power(n))) == prod
 
 
 class TestCiglDobinski:

@@ -45,17 +45,12 @@ class TestPoly:
         # a constant is not its scalar: equality and hash read the coefficient tuple only
         assert Poly((5,)) != 5 and 5 != Poly((5,))
         assert Poly(()) != 0
-        assert Poly((Poly((1,)), 2)) != Poly((1, 2))  # a Poly coefficient is not a scalar either
         assert Poly((5,)) == Poly((Fraction(5),))
 
-    def test_zero_coefficients_are_canonical(self):
-        # a zero coefficient is stored as the int 0 whichever ring it came from, so equal values compare equal
-        x = Poly((0, 1))
-        assert Poly((Poly(()), x)) == Poly((0, x)) and hash(Poly((Poly(()), x))) == hash(Poly((0, x)))
-        assert Poly((Fraction(0), 1)).coeffs == (0, 1) and Poly((Poly(()),)) == Poly(())
-        one = Poly((1,))
-        # (1 + x)(1 - x): the products into x cancel to Poly(()), which is stored as the int 0 too
-        assert (Poly((one, one)) * Poly((one, -one))).coeffs == (one, 0, -one)
+    def test_coefficients_are_stored_as_given(self):
+        # only trailing zeros go: a Fraction zero inside stays a Fraction
+        coeffs = Poly((Fraction(0), Fraction(1, 2), 0, Fraction(0))).coeffs
+        assert coeffs == (0, Fraction(1, 2)) and type(coeffs[0]) is Fraction
 
     def test_hash_is_the_coefficient_tuple(self):
         assert len({5, Poly((5,))}) == 2 and len({Poly((5,)), Poly((Fraction(5),))}) == 1
@@ -75,14 +70,6 @@ class TestPoly:
     def test_evaluate_is_ring_homomorphism(self, a, b, r):
         assert (a + b).evaluate(r) == a.evaluate(r) + b.evaluate(r)
         assert (a * b).evaluate(r) == a.evaluate(r) * b.evaluate(r)
-
-    def test_nested_coefficients(self):
-        inner = Poly((0, 1))  # q
-        outer = Poly((inner, Poly((1,))))  # q + x
-        sq = outer * outer
-        assert sq.coeffs[0] == Poly((0, 0, 1))
-        assert sq.coeffs[1] == Poly((0, 2))
-        assert sq.coeffs[2] == Poly((1,))
 
 
 class TestCertifiedValue:

@@ -71,6 +71,12 @@ class TestBellOracle:
 
 @pytest.mark.parametrize("name", RUNNERS)
 def test_cases_do_not_name_their_identity(name):
-    # The RUNNERS key is the identity's one name; verify writes it into each record.
+    # The RUNNERS key is the identity's one name; verify writes it into each record.  A runner returns
+    # one case per n = 0..n_max in order, except conjugation, whose one case reaches degree n_max.
     for seq in (PsiSequence.classical(), PsiSequence.gauss_q(Fraction(1, 2))):
-        assert not [case for case in RUNNERS[name](seq, 3) if "identity" in case.params]
+        cases = RUNNERS[name](seq, 3)
+        assert not [case for case in cases if "identity" in case.params]
+        if name == "conjugation":
+            assert [case.params for case in cases] == [{"max_degree": 3}]
+        else:
+            assert [case.params["n"] for case in cases] == [0, 1, 2, 3]

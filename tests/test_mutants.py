@@ -160,19 +160,24 @@ def jackson_bracket_q_plus_q(coefficients, q):
 
 
 def cigl_power_shift_q_i_plus_one(n):
-    """The shifted q-power product with factors x + q**(i+1) - 1 in place of x + q**i - 1."""
-    out = Poly((Poly((1,)),))
+    """The shifted q-power product with factors x + q**(i+1) - 1 in place of x + q**i - 1: a shift by i + 1."""
+    out = (Poly((1,)),)
     for i in range(n):
-        out = out * Poly((Poly.monomial(1, i + 1) - 1, Poly((1,))))
+        out = tuple(a + Poly((0,) * (i + 1) + b.coeffs) - b for a, b in zip((Poly(), *out), (*out, Poly())))
     return out
 
 
-def moment_reads_b4_for_x3(p):
+def moment_reads_b4_for_x3(coeffs):
     """The exact moment functional with the Bell number B(4) substituted for x**3."""
-    table, acc = classical_stirling_table(max(p.degree, 4)), Fraction(0)
-    for m, c in enumerate(p.coeffs):
+    table, acc = classical_stirling_table(max(len(coeffs) - 1, 4)), Fraction(0)
+    for m, c in enumerate(coeffs):
         acc = acc + c * bell_via_sum(table, 4 if m == 3 else m)
     return acc
+
+
+def monomial_as_bracket(cls, c, k):
+    """Poly.monomial reading q**k as the bracket [k+1]_q = 1 + q + ... + q**k, times c."""
+    return cls((c,) * (k + 1))
 
 
 def certified_sum_upper_at_quarter(term, ratio_threshold):
@@ -245,8 +250,14 @@ MUTANTS = [
     pytest.param(
         [(Poly, "__mul__", mul_drops_last_cross_product), (Poly, "__rmul__", mul_drops_last_cross_product)],
         polynomial_towers,
-        20,
+        19,
         id="poly-mul-drops-last-cross-product",
+    ),
+    pytest.param(
+        [(Poly, "monomial", classmethod(monomial_as_bracket))],
+        polynomial_towers,
+        9,
+        id="monomial-q^k-as-bracket",
     ),
     *(
         pytest.param(
