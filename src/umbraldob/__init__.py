@@ -10,7 +10,7 @@ _EXPORTS = {  # public name -> the module that defines it
     name: module
     for module, names in {
         "cigl": (
-            "PARTITION_CAP cigl_q_bell cigl_q_dobinski_exact cigl_q_power"
+            "PARTITION_CAP cigl_q_bell cigl_q_dobinski_exact cigl_q_powers"
             " cigl_q_stirling_table enumerate_partitions partition_counts"
         ),
         "dobinski": (

@@ -6,7 +6,7 @@ exponential exp_psi(lam) = sum_k lam**k / psi-factorial(k).  At lam = 1 the
 normalized falling-factorial moments are exactly 1 and the power moments
 recover the Bell tower, which is what the verify_* routines check;
 rota_bell_exact gives the Bell number with no interval, as a row sum of the
-classical Stirling triangle.  A sweep over n sums the normalizer exp_psi(1)
+classical Stirling triangle.  The one sweep over n, moments, sums exp_psi(1)
 once and builds the terms of row n from those of row n-1, one psi factor each
 (entry (n, k) is falling(k, n) / psi!(k) or psi(k)**n / psi!(k), never the
 shifted 1 / psi!(k-n)); the generating-function route is two calls, one
@@ -102,13 +102,14 @@ class PsiPoissonDistribution(NamedTuple):
         return numer / self.normalizer.hi, numer / self.normalizer.lo
 
 
-def _moments(seq: PsiSequence, ns: Iterable[int], power: bool) -> list[CertifiedValue]:
+def moments(seq: PsiSequence, ns: Iterable[int], power: bool) -> list[CertifiedValue]:
     """Certified exp_psi(1)**-1 * sum_k w(k, n) / factorial(k) for each n in ns in turn, at lam = 1.
 
+    The one moment sweep, which every runner and one-n check calls directly.
     w(k, n) is psi(k)**n if power, else falling(k, n); exp_psi(1) is summed once
     for all.  Where row n-1 was summed just before and reached k, entry (n, k)
     is entry (n-1, k) times one factor, psi(k) or psi(k-n+1), and a zero entry
-    stays zero; any other entry is computed from w.
+    stays zero; any other entry is computed from w, so ns = [n] sums row n only.
     """
     thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
     sums, row, last = [], [], None
@@ -128,11 +129,6 @@ def _moments(seq: PsiSequence, ns: Iterable[int], power: bool) -> list[Certified
     return sums
 
 
-def falling_moments(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
-    """verify_falling_moment for each n in ns, against one sum of exp_psi(1)."""
-    return _moments(seq, ns, power=False)
-
-
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
     """Interval for the normalized n-th falling-factorial moment at lam = 1.
 
@@ -142,12 +138,7 @@ def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return falling_moments(seq, [n])[0]
-
-
-def dobinski_bells(seq: PsiSequence, ns: Iterable[int]) -> list[CertifiedValue]:
-    """dobinski_bell for each n in ns, against one sum of exp_psi(1)."""
-    return _moments(seq, ns, power=True)
+    return moments(seq, [n], power=False)[0]
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
@@ -158,7 +149,7 @@ def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return dobinski_bells(seq, [n])[0]
+    return moments(seq, [n], power=True)[0]
 
 
 def rota_bell_exact(n: int) -> int:

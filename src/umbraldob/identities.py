@@ -20,6 +20,7 @@ from .umbral_engine import (
     bell_via_sum,
     carlitz_q_stirling,
     classical_stirling_table,
+    poisson_moment_exact,
     psi_stirling_diagnostic,
     q_poisson_moments,
 )
@@ -41,12 +42,12 @@ def _series_cases(seq: PsiSequence, intervals: list[CertifiedValue], expected) -
 
 
 def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
-    from .dobinski import falling_moments
-    return _series_cases(seq, falling_moments(seq, range(n_max + 1)), [1] * (n_max + 1))
+    from .dobinski import moments
+    return _series_cases(seq, moments(seq, range(n_max + 1), power=False), [1] * (n_max + 1))
 
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
-    from .dobinski import dobinski_bells
+    from .dobinski import moments
     q = seq.bracket_q
     if q is None:
         _, (residual,) = psi_stirling_diagnostic(seq, 2, 3)
@@ -55,17 +56,18 @@ def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
             f" ({seq.label} has no constant-coefficient psi-Stirling expansion: fitted at n = 2,"
             f" it leaves residual {residual} at psi index 3)"
         )
-    table = classical_stirling_table(n_max) if q == 1 else carlitz_q_stirling(n_max, q)  # ints at q = 1
+    table = carlitz_q_stirling(n_max, q)  # ints for classical, whose q is the int 1
     expected = [bell_via_sum(table, n) for n in range(n_max + 1)]
-    cases = _series_cases(seq, dobinski_bells(seq, range(n_max + 1)), expected)
-    moments = q_poisson_moments(q, 1, n_max)
-    return [case._replace(ok=case.ok and row_sum == moment) for case, row_sum, moment in zip(cases, expected, moments)]
+    cases = _series_cases(seq, moments(seq, range(n_max + 1), power=True), expected)
+    recurrence = q_poisson_moments(q, 1, n_max)
+    return [case._replace(ok=case.ok and row_sum == m) for case, row_sum, m in zip(cases, expected, recurrence)]
 
 
 def cigl_dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
-    from .cigl import cigl_q_dobinski_exact, cigl_q_stirling_table
+    from .cigl import cigl_q_powers, cigl_q_stirling_table
     table = cigl_q_stirling_table(n_max)
-    return [Case({"n": n}, cigl_q_dobinski_exact(n) == bell_via_sum(table, n)) for n in range(n_max + 1)]
+    products = zip(range(n_max + 1), cigl_q_powers())  # range first, so the walk takes n_max steps
+    return [Case({"n": n}, poisson_moment_exact(product) == bell_via_sum(table, n)) for n, product in products]
 
 
 def conjugation(seq: PsiSequence, n_max: int) -> list[Case]:
@@ -124,14 +126,14 @@ def bell_oracle(n_max: int) -> list[BellRoutes]:
     """B(0..n_max) by partition enumeration, Stirling row sum, umbral operator and Dobinski series.
 
     A row passes when the count and the operator value equal the row sum and
-    the series interval contains it.  The counts, the table and the series are
-    built once for all n; the operator runs afresh from the constant 1 for each n.
+    the series interval contains it.  The counts, the table and the series (one
+    call of moments) are built once for all n; the operator runs afresh for each n.
     """
     from .cigl import partition_counts
-    from .dobinski import dobinski_bells
+    from .dobinski import moments
     from .operator_calc import dobinski_specialization
     counts, table = partition_counts(n_max), classical_stirling_table(n_max)
-    intervals = dobinski_bells(PsiSequence.classical(), range(n_max + 1))
+    intervals = moments(PsiSequence.classical(), range(n_max + 1), power=True)
     rows = []
     for n, (count, series) in enumerate(zip(counts, intervals)):
         rota, operator = bell_via_sum(table, n), dobinski_specialization(n)

@@ -185,10 +185,11 @@ def carlitz_q_stirling(n_max: int, q=None) -> StirlingTable:
     This is the recurrence of Carlitz (Duke Math. J. 15, 1948).  Its rows are the coefficients
     of the defining expansion [j]_q**n = sum_k entry(n,k) * [j]_q*[j-1]_q*...*[j-k+1]_q, which
     psi_stirling_diagnostic solves independently at a rational q.  The weights q**k and [k]_q
-    are built once in the ring of q: polynomials when q is None, else Fractions at the rational
-    q, which give the polynomial tower evaluated at q, since evaluation is a ring map.
+    are built once in the ring of q: polynomials when q is None, else q's own ring (ints at the
+    int 1, Fractions at a Fraction q), which gives the polynomial tower evaluated at q, since
+    evaluation is a ring map; at the int 1 that is the classical int triangle.
     """
-    x = Poly((0, 1)) if q is None else Fraction(q)
+    x = Poly((0, 1)) if q is None else q
     powers, brackets = [x * 0 + 1], [x * 0]  # q**0 and [0]_q in the ring of x
     for _ in range(n_max):
         powers.append(powers[-1] * x)
@@ -221,7 +222,7 @@ def q_poisson_moments(q, lam, n_max: int) -> list:
 def poisson_moment_exact(coeffs):
     """The exact moment functional: sum of coeffs[m] * B(m), the m-th power read as the m-th Bell number.
 
-    Scalar coefficients give a Fraction, and q-polynomial ones, as in cigl_q_power, a Poly.
+    Scalar coefficients give a Fraction, and q-polynomial ones, as in a product of cigl_q_powers, a Poly.
     """
     table, acc = classical_stirling_table(max(len(coeffs) - 1, 0)), Fraction(0)
     for m, c in enumerate(coeffs):

@@ -1,6 +1,7 @@
 """Partition enumeration, the zero-block statistic, and the cigl q-tower."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -10,13 +11,15 @@ from umbraldob.cigl import (
     _levels,
     cigl_q_bell,
     cigl_q_dobinski_exact,
-    cigl_q_power,
+    cigl_q_powers,
     cigl_q_stirling_table,
     enumerate_partitions,
     partition_counts,
 )
 from umbraldob.errors import CapExceededError
 from umbraldob.exact_core import Poly
+from umbraldob.identities import RUNNERS
+from umbraldob.umbral_engine import PsiSequence
 
 
 @pytest.fixture(scope="module")
@@ -161,34 +164,49 @@ class TestWeightedCount:
 class TestQPowerProduct:
     def test_small_products(self):
         one = Poly((1,))
-        assert cigl_q_power(0) == (one,)
-        assert cigl_q_power(1) == (Poly(()), one)
-        # x * (x + q - 1) = (q - 1) x + x**2
-        assert cigl_q_power(2) == (Poly(()), Poly((-1, 1)), one)
-        # x * (x + q - 1) * (x + q**2 - 1) = (q - 1)(q**2 - 1) x + (q**2 + q - 2) x**2 + x**3
-        assert cigl_q_power(3) == (Poly(()), Poly((1, -1, -1, 1)), Poly((-2, 1, 1)), one)
+        assert list(islice(cigl_q_powers(), 4)) == [
+            (one,),
+            (Poly(()), one),
+            # x * (x + q - 1) = (q - 1) x + x**2
+            (Poly(()), Poly((-1, 1)), one),
+            # x * (x + q - 1) * (x + q**2 - 1) = (q - 1)(q**2 - 1) x + (q**2 + q - 2) x**2 + x**3
+            (Poly(()), Poly((1, -1, -1, 1)), Poly((-2, 1, 1)), one),
+        ]
 
     def test_builds_without_polynomial_products(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("cigl_q_power multiplied polynomials")
+            raise AssertionError("cigl_q_powers multiplied polynomials")
 
         monkeypatch.setattr(Poly, "__mul__", refuse)
         monkeypatch.setattr(Poly, "__rmul__", refuse)
         monkeypatch.setattr(Poly, "monomial", classmethod(refuse))
-        assert [len(cigl_q_power(n)) for n in range(8)] == list(range(1, 9))
+        assert [len(product) for product in islice(cigl_q_powers(), 8)] == list(range(1, 9))
 
-    def test_rejects_negative(self):
+    def test_exact_rejects_negative(self):
         with pytest.raises(ValueError):
-            cigl_q_power(-1)
+            cigl_q_dobinski_exact(-1)
 
     def test_evaluation_matches_factored_form(self):
         q = Fraction(2, 3)
         x = Fraction(5)
-        for n in range(7):
+        for n, product in enumerate(islice(cigl_q_powers(), 7)):
             prod = Fraction(1)
             for i in range(n):
                 prod *= x + q**i - 1
-            assert sum(c.evaluate(q) * x**k for k, c in enumerate(cigl_q_power(n))) == prod
+            assert sum(c.evaluate(q) * x**k for k, c in enumerate(product)) == prod
+
+    def test_verdict_builds_each_product_once(self, monkeypatch):
+        # step i subtracts once per coefficient of product i + 1; rebuilding product n from (1,) for
+        # every n = 0..12 took 78 steps where one walk of 12 factors takes 12
+        calls, real = [], Poly.__sub__
+
+        def counting(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(Poly, "__sub__", counting)
+        assert all(case.ok for case in RUNNERS["cigl-dobinski"](PsiSequence.classical(), 12))
+        assert len(calls) == sum(i + 2 for i in range(12))
 
 
 class TestCiglDobinski:

@@ -297,13 +297,13 @@ class TestOracle:
         assert [row[-1] for row in rows] == ["pass", "pass", "fail", "pass"]
 
     def test_series_disagreement_exits_one(self, monkeypatch):
-        sweep = dobinski.dobinski_bells
+        sweep = dobinski.moments
 
-        def shifted(seq, ns):
+        def shifted(seq, ns, power):
             # each interval moved wholly above its Bell number
-            return [CertifiedValue(iv.hi + 1, iv.hi + 2) for iv in sweep(seq, ns)]
+            return [CertifiedValue(iv.hi + 1, iv.hi + 2) for iv in sweep(seq, ns, power)]
 
-        monkeypatch.setattr(dobinski, "dobinski_bells", shifted)
+        monkeypatch.setattr(dobinski, "moments", shifted)
         result = invoke("oracle", "--n", "3", "--format", "csv")
         assert result.exit_code == 1
         rows = [line.split(",") for line in result.output.splitlines()[1:]]

@@ -13,11 +13,10 @@ from umbraldob.dobinski import (
     PsiPoissonDistribution,
     default_ratio_threshold,
     dobinski_bell,
-    dobinski_bells,
-    falling_moments,
     generating_function_checks,
     generating_function_mean_ok,
     jackson_derivative,
+    moments,
     psi_exp,
     rota_bell_exact,
     verify_falling_moment,
@@ -65,12 +64,12 @@ class TestDefaultThreshold:
             (lambda seq, lam: verify_falling_moment(seq, 3), HALF, 1),
             (lambda seq, lam: dobinski_bell(seq, 3), QUARTER, 1),
             (lambda seq, lam: generating_function_mean_ok(seq), HALF, 1),
-            (lambda seq, lam: falling_moments(seq, range(4)), HALF, 1),
-            (lambda seq, lam: dobinski_bells(seq, range(4)), QUARTER, 1),
+            (lambda seq, lam: moments(seq, range(4), power=False), HALF, 1),
+            (lambda seq, lam: moments(seq, range(4), power=True), QUARTER, 1),
         ],
         ids=[
             "psi_exp", "create", "falling", "dobinski_bell", "pmf_gf_mean",
-            "falling_moments", "dobinski_bells",
+            "moments-falling", "moments-power",
         ],
     )
     def test_every_series_route_uses_it(self, monkeypatch, route, seq, lam):
@@ -117,9 +116,9 @@ class TestTailLemma:
             if seq.q is None or seq.q >= 1 or lam * (1 - seq.q) < 1:
                 psi_exp(seq, lam)
                 series.append((f"exp_psi({lam})", lambda k, lam=lam: lam / psi(k + 1), reads[-1]))
-        falling_moments(seq, ns)
+        moments(seq, ns, power=False)
         series += [(f"falling row {n}", lambda k, n=n: 1 / psi(k - n + 1), v) for n, v in zip(ns, reads[-31:])]
-        dobinski_bells(seq, ns)
+        moments(seq, ns, power=True)
         series += [
             (f"power row {n}", lambda k, n=n: (psi(k + 1) / psi(k)) ** n / psi(k + 1) if n else 1 / psi(k + 1), v)
             for n, v in zip(ns, reads[-31:])
@@ -248,20 +247,20 @@ class TestFallingMoment:
         monkeypatch.setattr(dobinski, "certified_sum", reading)
         # psi_exp would sum exp_psi(1) through the stand-in certified_sum, so the normalizer is a unit stand-in too
         monkeypatch.setattr(dobinski, "psi_exp", lambda seq, lam: unit)
-        for sweep, w in ((falling_moments, seq.falling), (dobinski_bells, lambda k, n: seq.value(k) ** n)):
+        for power, w in ((False, seq.falling), (True, lambda k, n: seq.value(k) ** n)):
             rows.clear()
-            sweep(seq, range(31))
+            moments(seq, range(31), power)
             assert rows == [[w(k, n) / seq.factorial(k) for k in range(n + 31)] for n in range(31)]
 
     @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)
     def test_sweeps_with_gaps_equal_single_calls(self, seq):
         # a row is built from the row above only when that row was summed just before it
-        falling, power = falling_moments(seq, range(10)), dobinski_bells(seq, range(10))
-        assert falling_moments(seq, [7]) == [verify_falling_moment(seq, 7)] == [falling[7]]
-        assert falling_moments(seq, [0, 2, 5]) == [verify_falling_moment(seq, n) for n in (0, 2, 5)]
-        assert falling_moments(seq, [0, 2, 5]) == [falling[n] for n in (0, 2, 5)]
-        assert dobinski_bells(seq, [3, 4, 9]) == [dobinski_bell(seq, n) for n in (3, 4, 9)]
-        assert dobinski_bells(seq, [3, 4, 9]) == [power[n] for n in (3, 4, 9)]
+        falling, power = moments(seq, range(10), power=False), moments(seq, range(10), power=True)
+        assert moments(seq, [7], power=False) == [verify_falling_moment(seq, 7)] == [falling[7]]
+        assert moments(seq, [0, 2, 5], power=False) == [verify_falling_moment(seq, n) for n in (0, 2, 5)]
+        assert moments(seq, [0, 2, 5], power=False) == [falling[n] for n in (0, 2, 5)]
+        assert moments(seq, [3, 4, 9], power=True) == [dobinski_bell(seq, n) for n in (3, 4, 9)]
+        assert moments(seq, [3, 4, 9], power=True) == [power[n] for n in (3, 4, 9)]
 
     def test_sweep_makes_few_psi_lookups(self, monkeypatch):
         # 9,173 lookups when every term was built from scratch; about 1,250 row by row
@@ -275,7 +274,7 @@ class TestFallingMoment:
 
             monkeypatch.setattr(PsiSequence, name, counting)
         seq = PsiSequence.gauss_q(Fraction(11, 16))
-        assert all(v.contains(1) for v in falling_moments(seq, range(81)))
+        assert all(v.contains(1) for v in moments(seq, range(81), power=False))
         assert 0 < len(calls) <= 1500
 
     @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)

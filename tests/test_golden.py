@@ -23,7 +23,7 @@ import pytest
 from helpers import invoke
 
 from umbraldob.cli import parse_sequence
-from umbraldob.dobinski import dobinski_bells, falling_moments
+from umbraldob.dobinski import moments
 
 CORPUS = Path(__file__).parent / "golden" / "corpus.json"
 SWEEPS = Path(__file__).parent / "golden" / "sweeps.json"
@@ -118,8 +118,8 @@ def run_case(env, args) -> dict:
 def sweep_intervals(descriptor: str) -> dict:
     seq, ns = parse_sequence(descriptor), range(SWEEP_N_MAX + 1)
     return {
-        name: [[str(v.lo), str(v.hi)] for v in sweep(seq, ns)]
-        for name, sweep in (("falling", falling_moments), ("power", dobinski_bells))
+        name: [[str(v.lo), str(v.hi)] for v in moments(seq, ns, power)]
+        for name, power in (("falling", False), ("power", True))
     }
 
 

@@ -54,14 +54,14 @@ class TestBellOracle:
         monkeypatch.setattr(operator_calc, "dobinski_specialization", lambda m: operator(m) + (m == 2))
 
     def _break_series(self, monkeypatch):
-        sweep = dobinski.dobinski_bells
+        sweep = dobinski.moments
 
-        def shifted(seq, ns):
-            ivs = sweep(seq, ns)
+        def shifted(seq, ns, power):
+            ivs = sweep(seq, ns, power)
             ivs[2] = CertifiedValue(ivs[2].hi + 1, ivs[2].hi + 2)
             return ivs
 
-        monkeypatch.setattr(dobinski, "dobinski_bells", shifted)
+        monkeypatch.setattr(dobinski, "moments", shifted)
 
     @pytest.mark.parametrize("route", ["count", "row_sum", "operator", "series"])
     def test_each_route_alone_fails_its_row(self, route, monkeypatch):

@@ -6,7 +6,7 @@ verdict sees yet is a strict xfail with floor 1.
 """
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, count
 from math import comb
 
 import pytest
@@ -30,7 +30,7 @@ REAL_VALUE = PsiSequence.value
 REAL_CERTIFIED_SUM = dobinski.certified_sum
 REAL_PSI_EXP = dobinski.psi_exp
 REAL_COUNTS = cigl.partition_counts
-REAL_MOMENTS = dobinski._moments
+REAL_MOMENTS = dobinski.moments
 REAL_CARLITZ = identities.carlitz_q_stirling
 REAL_BELL = identities.bell_via_sum
 
@@ -104,9 +104,14 @@ def moments_falling_at_n_plus_one(seq, ns, power):
     return REAL_MOMENTS(seq, [n + (not power) for n in ns], power)
 
 
+def moments_drop_last_row(seq, ns, power):
+    """The moment sweep with its last row left out, so a runner returns one case fewer."""
+    return REAL_MOMENTS(seq, list(ns)[:-1], power)
+
+
 def carlitz_left_weight_q_k(n_max, q=None):
     """The Carlitz tower with left weight q**k in place of q**(k-1), from the same running products in the ring of q."""
-    x = Poly((0, 1)) if q is None else Fraction(q)
+    x = Poly((0, 1)) if q is None else q
     powers, brackets = [x * 0 + 1], [x * 0]
     for _ in range(n_max):
         powers.append(powers[-1] * x)
@@ -159,12 +164,12 @@ def jackson_bracket_q_plus_q(coefficients, q):
     return tuple(coeffs)
 
 
-def cigl_power_shift_q_i_plus_one(n):
-    """The shifted q-power product with factors x + q**(i+1) - 1 in place of x + q**i - 1: a shift by i + 1."""
+def cigl_powers_shift_q_i_plus_one():
+    """The walk of shifted q-power products with factors x + q**(i+1) - 1 in place of x + q**i - 1: a shift by i + 1."""
     out = (Poly((1,)),)
-    for i in range(n):
+    for i in count():
+        yield out
         out = tuple(a + Poly((0,) * (i + 1) + b.coeffs) - b for a, b in zip((Poly(), *out), (*out, Poly())))
-    return out
 
 
 def moment_reads_b4_for_x3(coeffs):
@@ -272,14 +277,23 @@ MUTANTS = [
         for sign in (1, -1)
     ),
     pytest.param(
-        [(dobinski, "_moments", moments_falling_step_k_minus_n)], series_verdicts, 24, id="falling-step-psi-k-n"
+        [(dobinski, "moments", moments_falling_step_k_minus_n)], series_verdicts, 24, id="falling-step-psi-k-n"
     ),
     pytest.param(
-        [(dobinski, "_moments", moments_falling_at_n_plus_one)],
+        [(dobinski, "moments", moments_falling_at_n_plus_one)],
         series_verdicts,
         1,
         id="falling-row-read-at-n+1",
         marks=pytest.mark.xfail(strict=True, reason="every falling moment is 1 at lam = 1: killed by ROADMAP item 2"),
+    ),
+    pytest.param(
+        [(dobinski, "moments", moments_drop_last_row)],
+        series_verdicts,
+        1,
+        id="moment-sweep-drops-last-row",
+        marks=pytest.mark.xfail(
+            strict=True, reason="no verdict checks one case per n: killed by the case-count check of ROADMAP item 20"
+        ),
     ),
     pytest.param(
         [(identities, "carlitz_q_stirling", carlitz_left_weight_q_k)], series_verdicts, 36, id="carlitz-left-q^k"
@@ -320,10 +334,10 @@ MUTANTS = [
         [(dobinski, "jackson_derivative", jackson_bracket_q_plus_q)], pmf_gf_verdicts, 33, id="jackson-bracket-q+q"
     ),
     pytest.param(
-        [(cigl, "cigl_q_power", cigl_power_shift_q_i_plus_one)], polynomial_towers, 10, id="cigl-power-q^(i+1)"
+        [(cigl, "cigl_q_powers", cigl_powers_shift_q_i_plus_one)], polynomial_towers, 10, id="cigl-power-q^(i+1)"
     ),
     pytest.param(
-        [(cigl, "poisson_moment_exact", moment_reads_b4_for_x3)], polynomial_towers, 8, id="moment-b4-for-x^3"
+        [(identities, "poisson_moment_exact", moment_reads_b4_for_x3)], polynomial_towers, 8, id="moment-b4-for-x^3"
     ),
     pytest.param(
         [(dobinski, "certified_sum", certified_sum_upper_at_quarter)],

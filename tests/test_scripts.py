@@ -116,7 +116,7 @@ def test_survey_mutants_and_reviewed_list():
 # Kernels in which the survey finds no survivor: each of their mutants must fail a verdict or raise.
 SURVEY_KERNELS = {
     "umbral_engine": ("recurrence_table", "carlitz_q_stirling"),
-    "cigl": ("cigl_q_stirling_table", "cigl_q_power", "partition_counts", "_levels"),
+    "cigl": ("cigl_q_stirling_table", "cigl_q_powers", "partition_counts", "_levels"),
     "operator_calc": ("apply_number_operator",),
     "dobinski": ("jackson_derivative",),
 }

@@ -263,6 +263,12 @@ class TestCarlitzTable:
             expected = tuple(tuple(entry.evaluate(q) for entry in row) for row in symbolic.rows)
             assert numeric.rows == expected, f"q = {q}"
 
+    def test_tower_at_int_one_is_the_int_triangle(self):
+        # the weights are built in q's own ring, so the int 1 gives ints, never Fractions; rows 0..30
+        tower = carlitz_q_stirling(30, 1)
+        assert tower.rows == classical_stirling_table(30).rows
+        assert all(type(entry) is int for row in tower.rows for entry in row)
+
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 8))
     @settings(max_examples=40, deadline=None)
     def test_tower_at_any_q_is_the_polynomial_tower_evaluated_there(self, a, b, n):
