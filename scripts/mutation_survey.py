@@ -61,11 +61,9 @@ EQUIVALENT = {
         "the tail lemma holds at any threshold: 1/3 is as sound as 1/2, with wider intervals",
     "dobinski.default_ratio_threshold: range(1, cap + 1) -> range(2, cap + 1)":
         "psi never decreases, so the scan from 2 finds an index wherever the scan from 1 does",
-    "dobinski.moments: n - 1 -> n + 1":
-        "last is never n + 1, so no row is reused and every entry comes from its definition",
     "dobinski.generating_function_checks: n_max + 1 -> n_max + 2":
         "one more series coefficient, which check n, series[0] after n <= n_max steps, never reaches",
-    "identities.falling_moment: n_max + 1 -> n_max + 2 #2":
+    "identities.falling_moment: n_max + 1 -> n_max + 2":
         "one more expected value, which no case reads",
 }
 

@@ -15,7 +15,7 @@ counts walk the strings level by level and keep one byte per string, its
 block count, never the string itself.
 """
 
-from itertools import chain, count, islice
+from itertools import count, islice
 from typing import Iterator
 
 from .errors import CapExceededError
@@ -72,13 +72,13 @@ def _levels(n: int) -> Iterator[bytes]:
     keep t blocks and the entry t opens block t + 1.  So level m + 1 is each
     string of level m replaced by its row of an extension table, in
     lexicographic order.  No block count exceeds PARTITION_CAP, so each fits
-    in a byte.
+    in a byte.  Rows are joined 128 at a time: bytes.join holds an 80-byte buffer per part.
     """
     table = [bytes([t]) * t + bytes([t + 1]) for t in range(n)]
     level = bytes(1)  # the empty string, with no blocks
     for m in range(n):
         if m:
-            level = bytes(chain.from_iterable(map(table.__getitem__, level)))
+            level = b"".join(b"".join(map(table.__getitem__, level[i:i + 128])) for i in range(0, len(level), 128))
         yield level
 
 

@@ -6,10 +6,11 @@ exponential exp_psi(lam) = sum_k lam**k / psi-factorial(k).  At lam = 1 the
 normalized falling-factorial moments are exactly 1 and the power moments
 recover the Bell tower, which is what the verify_* routines check;
 rota_bell_exact gives the Bell number with no interval, as a row sum of the
-classical Stirling triangle.  The one sweep over n, moments, sums exp_psi(1)
-once and builds the terms of row n from those of row n-1, one psi factor each
-(entry (n, k) is falling(k, n) / psi!(k) or psi(k)**n / psi!(k), never the
-shifted 1 / psi!(k-n)); the generating-function route is two calls, one
+classical Stirling triangle.  The one sweep, moments, covers rows 0..n_max
+like every other sweep: it sums exp_psi(1) once and builds the terms of row n
+from those of row n-1, one psi factor each (entry (n, k) is falling(k, n) /
+psi!(k) or psi(k)**n / psi!(k), never the shifted 1 / psi!(k-n)), and the
+one-n checks read its row n; the generating-function route is two calls, one
 q-difference chain and one mean sum, per sweep.
 
 Every series is truncated by one rule: certified_sum with the threshold
@@ -18,7 +19,7 @@ of exp_psi.  No function here takes a per-call summation setting.
 """
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import exact_core
 from .errors import NonConvergentError
@@ -102,27 +103,28 @@ class PsiPoissonDistribution(NamedTuple):
         return numer / self.normalizer.hi, numer / self.normalizer.lo
 
 
-def moments(seq: PsiSequence, ns: Iterable[int], power: bool) -> list[CertifiedValue]:
-    """Certified exp_psi(1)**-1 * sum_k w(k, n) / factorial(k) for each n in ns in turn, at lam = 1.
+def moments(seq: PsiSequence, n_max: int, power: bool) -> list[CertifiedValue]:
+    """Certified exp_psi(1)**-1 * sum_k w(k, n) / factorial(k) for n = 0..n_max, at lam = 1.
 
     The one moment sweep, which every runner and one-n check calls directly.
     w(k, n) is psi(k)**n if power, else falling(k, n); exp_psi(1) is summed once
-    for all.  Where row n-1 was summed just before and reached k, entry (n, k)
-    is entry (n-1, k) times one factor, psi(k) or psi(k-n+1), and a zero entry
-    stays zero; any other entry is computed from w, so ns = [n] sums row n only.
+    for all.  Where row n-1 reached k, entry (n, k) is entry (n-1, k) times one
+    factor, psi(k) or psi(k-n+1), and a zero entry stays zero; any other entry is
+    computed from w.  certified_sum reads each term once, in order, so row n is kept as read.
     """
+    if n_max < 0:
+        raise ValueError("n must be non-negative")
     thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
-    sums, row, last = [], [], None
-    for n in ns:
-        above, row, last = row if last == n - 1 else [], [], n
+    sums, row = [], []
+    for n in range(n_max + 1):
+        above, row = row, []
 
         def entry(k: int) -> Fraction:
             if k < len(above):
                 v = above[k] and above[k] * seq.value(k if power else k - n + 1)
             else:
                 v = (seq.value(k) ** n if power else seq.falling(k, n)) / seq.factorial(k)
-            if k == len(row):
-                row.append(v)
+            row.append(v)
             return v
 
         sums.append(certified_sum(entry, thr).div_by_positive(normalizer))
@@ -130,26 +132,22 @@ def moments(seq: PsiSequence, ns: Iterable[int], power: bool) -> list[CertifiedV
 
 
 def verify_falling_moment(seq: PsiSequence, n: int) -> CertifiedValue:
-    """Interval for the normalized n-th falling-factorial moment at lam = 1.
+    """Interval for the normalized n-th falling-factorial moment at lam = 1: row n of moments.
 
     The true value is exactly 1 for every admissible sequence: the first n
     terms vanish and the rest shift down to exp_psi(1) again.  The returned
     interval must therefore contain 1.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return moments(seq, [n], power=False)[0]
+    return moments(seq, n, power=False)[n]
 
 
 def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
-    """Interval for the normalized n-th power moment at lam = 1.
+    """Interval for the normalized n-th power moment at lam = 1: row n of moments.
 
     For the classical sequence this brackets the n-th Bell number; for a
     Gauss sequence it brackets the Carlitz q-Bell polynomial evaluated at q.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return moments(seq, [n], power=True)[0]
+    return moments(seq, n, power=True)[n]
 
 
 def rota_bell_exact(n: int) -> int:

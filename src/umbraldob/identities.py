@@ -43,7 +43,7 @@ def _series_cases(seq: PsiSequence, intervals: list[CertifiedValue], expected) -
 
 def falling_moment(seq: PsiSequence, n_max: int) -> list[Case]:
     from .dobinski import moments
-    return _series_cases(seq, moments(seq, range(n_max + 1), power=False), [1] * (n_max + 1))
+    return _series_cases(seq, moments(seq, n_max, power=False), [1] * (n_max + 1))
 
 
 def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
@@ -58,7 +58,7 @@ def dobinski(seq: PsiSequence, n_max: int) -> list[Case]:
         )
     table = carlitz_q_stirling(n_max, q)  # ints for classical, whose q is the int 1
     expected = [bell_via_sum(table, n) for n in range(n_max + 1)]
-    cases = _series_cases(seq, moments(seq, range(n_max + 1), power=True), expected)
+    cases = _series_cases(seq, moments(seq, n_max, power=True), expected)
     recurrence = q_poisson_moments(q, 1, n_max)
     return [case._replace(ok=case.ok and row_sum == m) for case, row_sum, m in zip(cases, expected, recurrence)]
 
@@ -127,13 +127,13 @@ def bell_oracle(n_max: int) -> list[BellRoutes]:
 
     A row passes when the count and the operator value equal the row sum and
     the series interval contains it.  The counts, the table and the series (one
-    call of moments) are built once for all n; the operator runs afresh for each n.
+    moment sweep to n_max) are built once for all n; the operator runs afresh for each n.
     """
     from .cigl import partition_counts
     from .dobinski import moments
     from .operator_calc import dobinski_specialization
     counts, table = partition_counts(n_max), classical_stirling_table(n_max)
-    intervals = moments(PsiSequence.classical(), range(n_max + 1), power=True)
+    intervals = moments(PsiSequence.classical(), n_max, power=True)
     rows = []
     for n, (count, series) in enumerate(zip(counts, intervals)):
         rota, operator = bell_via_sum(table, n), dobinski_specialization(n)

@@ -299,9 +299,9 @@ class TestOracle:
     def test_series_disagreement_exits_one(self, monkeypatch):
         sweep = dobinski.moments
 
-        def shifted(seq, ns, power):
+        def shifted(seq, n_max, power):
             # each interval moved wholly above its Bell number
-            return [CertifiedValue(iv.hi + 1, iv.hi + 2) for iv in sweep(seq, ns, power)]
+            return [CertifiedValue(iv.hi + 1, iv.hi + 2) for iv in sweep(seq, n_max, power)]
 
         monkeypatch.setattr(dobinski, "moments", shifted)
         result = invoke("oracle", "--n", "3", "--format", "csv")

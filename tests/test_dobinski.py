@@ -64,8 +64,8 @@ class TestDefaultThreshold:
             (lambda seq, lam: verify_falling_moment(seq, 3), HALF, 1),
             (lambda seq, lam: dobinski_bell(seq, 3), QUARTER, 1),
             (lambda seq, lam: generating_function_mean_ok(seq), HALF, 1),
-            (lambda seq, lam: moments(seq, range(4), power=False), HALF, 1),
-            (lambda seq, lam: moments(seq, range(4), power=True), QUARTER, 1),
+            (lambda seq, lam: moments(seq, 3, power=False), HALF, 1),
+            (lambda seq, lam: moments(seq, 3, power=True), QUARTER, 1),
         ],
         ids=[
             "psi_exp", "create", "falling", "dobinski_bell", "pmf_gf_mean",
@@ -111,17 +111,17 @@ class TestTailLemma:
             return real(kept, thr)
 
         monkeypatch.setattr(dobinski, "certified_sum", recording)
-        psi, ns, series = seq.value, range(31), []
+        psi, series = seq.value, []
         for lam in (Fraction(1, 3), Fraction(1), Fraction(2)):
             if seq.q is None or seq.q >= 1 or lam * (1 - seq.q) < 1:
                 psi_exp(seq, lam)
                 series.append((f"exp_psi({lam})", lambda k, lam=lam: lam / psi(k + 1), reads[-1]))
-        moments(seq, ns, power=False)
-        series += [(f"falling row {n}", lambda k, n=n: 1 / psi(k - n + 1), v) for n, v in zip(ns, reads[-31:])]
-        moments(seq, ns, power=True)
+        moments(seq, 30, power=False)
+        series += [(f"falling row {n}", lambda k, n=n: 1 / psi(k - n + 1), v) for n, v in enumerate(reads[-31:])]
+        moments(seq, 30, power=True)
         series += [
             (f"power row {n}", lambda k, n=n: (psi(k + 1) / psi(k)) ** n / psi(k + 1) if n else 1 / psi(k + 1), v)
-            for n, v in zip(ns, reads[-31:])
+            for n, v in enumerate(reads[-31:])
         ]
         if seq != FIB:
             generating_function_mean_ok(seq)
@@ -238,10 +238,8 @@ class TestFallingMoment:
         unit, rows = CertifiedValue(Fraction(1), Fraction(1)), []
 
         def reading(term, thr):
-            # row n is read at k = 0..n+30 in order, then again: a second read must append nothing
-            ks = range(len(rows) + 31)
-            rows.append([term(k) for k in ks])
-            assert [term(k) for k in ks] == rows[-1]
+            # row n is read once, at k = 0..n+30 in order
+            rows.append([term(k) for k in range(len(rows) + 31)])
             return unit
 
         monkeypatch.setattr(dobinski, "certified_sum", reading)
@@ -249,18 +247,14 @@ class TestFallingMoment:
         monkeypatch.setattr(dobinski, "psi_exp", lambda seq, lam: unit)
         for power, w in ((False, seq.falling), (True, lambda k, n: seq.value(k) ** n)):
             rows.clear()
-            moments(seq, range(31), power)
+            moments(seq, 30, power)
             assert rows == [[w(k, n) / seq.factorial(k) for k in range(n + 31)] for n in range(31)]
 
     @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)
-    def test_sweeps_with_gaps_equal_single_calls(self, seq):
-        # a row is built from the row above only when that row was summed just before it
-        falling, power = moments(seq, range(10), power=False), moments(seq, range(10), power=True)
-        assert moments(seq, [7], power=False) == [verify_falling_moment(seq, 7)] == [falling[7]]
-        assert moments(seq, [0, 2, 5], power=False) == [verify_falling_moment(seq, n) for n in (0, 2, 5)]
-        assert moments(seq, [0, 2, 5], power=False) == [falling[n] for n in (0, 2, 5)]
-        assert moments(seq, [3, 4, 9], power=True) == [dobinski_bell(seq, n) for n in (3, 4, 9)]
-        assert moments(seq, [3, 4, 9], power=True) == [power[n] for n in (3, 4, 9)]
+    def test_one_n_checks_read_row_n_of_the_sweep(self, seq):
+        falling, power = moments(seq, 9, power=False), moments(seq, 9, power=True)
+        assert [verify_falling_moment(seq, n) for n in range(10)] == falling
+        assert [dobinski_bell(seq, n) for n in range(10)] == power
 
     def test_sweep_makes_few_psi_lookups(self, monkeypatch):
         # 9,173 lookups when every term was built from scratch; about 1,250 row by row
@@ -274,7 +268,7 @@ class TestFallingMoment:
 
             monkeypatch.setattr(PsiSequence, name, counting)
         seq = PsiSequence.gauss_q(Fraction(11, 16))
-        assert all(v.contains(1) for v in moments(seq, range(81), power=False))
+        assert all(v.contains(1) for v in moments(seq, 80, power=False))
         assert 0 < len(calls) <= 1500
 
     @pytest.mark.parametrize("seq", [CLASSICAL, FIB, HALF, THREE_HALVES], ids=lambda seq: seq.label)

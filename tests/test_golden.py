@@ -116,9 +116,9 @@ def run_case(env, args) -> dict:
 
 
 def sweep_intervals(descriptor: str) -> dict:
-    seq, ns = parse_sequence(descriptor), range(SWEEP_N_MAX + 1)
+    seq = parse_sequence(descriptor)
     return {
-        name: [[str(v.lo), str(v.hi)] for v in moments(seq, ns, power)]
+        name: [[str(v.lo), str(v.hi)] for v in moments(seq, SWEEP_N_MAX, power)]
         for name, power in (("falling", False), ("power", True))
     }
 

@@ -56,8 +56,8 @@ class TestBellOracle:
     def _break_series(self, monkeypatch):
         sweep = dobinski.moments
 
-        def shifted(seq, ns, power):
-            ivs = sweep(seq, ns, power)
+        def shifted(seq, n_max, power):
+            ivs = sweep(seq, n_max, power)
             ivs[2] = CertifiedValue(ivs[2].hi + 1, ivs[2].hi + 2)
             return ivs
 

@@ -6,7 +6,7 @@ verdict sees yet is a strict xfail with floor 1.
 """
 
 from fractions import Fraction
-from itertools import chain, count
+from itertools import count
 from math import comb
 
 import pytest
@@ -75,38 +75,37 @@ def levels_open_block_off_top(n):
     level = bytes(1)
     for m in range(n):
         if m:
-            level = bytes(chain.from_iterable(map(table.__getitem__, level)))
+            level = b"".join(b"".join(map(table.__getitem__, level[i:i + 128])) for i in range(0, len(level), 128))
         yield level
 
 
-def moments_falling_step_k_minus_n(seq, ns, power):
+def moments_falling_step_k_minus_n(seq, n_max, power):
     """The moment sweep with the falling step psi(k-n) in place of psi(k-n+1); entry (n, n-1) stays 0."""
     thr, normalizer = dobinski.default_ratio_threshold(seq, 1), dobinski.psi_exp(seq, 1)
-    sums, row, last = [], [], None
-    for n in ns:
-        above, row, last = row if last == n - 1 else [], [], n
+    sums, row = [], []
+    for n in range(n_max + 1):
+        above, row = row, []
 
         def entry(k):
             if k < len(above):
                 v = above[k] and above[k] * (seq.value(k) if power else k >= n and seq.value(k - n))
             else:
                 v = (seq.value(k) ** n if power else seq.falling(k, n)) / seq.factorial(k)
-            if k == len(row):
-                row.append(v)
+            row.append(v)
             return v
 
         sums.append(dobinski.certified_sum(entry, thr).div_by_positive(normalizer))
     return sums
 
 
-def moments_falling_at_n_plus_one(seq, ns, power):
+def moments_falling_at_n_plus_one(seq, n_max, power):
     """The moment sweep with falling row n read at n+1."""
-    return REAL_MOMENTS(seq, [n + (not power) for n in ns], power)
+    return REAL_MOMENTS(seq, n_max + (not power), power)[not power:]
 
 
-def moments_drop_last_row(seq, ns, power):
+def moments_drop_last_row(seq, n_max, power):
     """The moment sweep with its last row left out, so a runner returns one case fewer."""
-    return REAL_MOMENTS(seq, list(ns)[:-1], power)
+    return REAL_MOMENTS(seq, n_max, power)[:-1]
 
 
 def carlitz_left_weight_q_k(n_max, q=None):
