@@ -6,16 +6,17 @@ arithmetic, relational and constant replacement operators of Offutt et al.
 (ACM TOSEM 5(2), 1996): + <-> -, * -> +, / -> *, ** -> *, < <-> <=,
 > <-> >=, == <-> !=, or an integer literal + 1.  Annotations are left alone.
 Each mutant runs in a fresh process on a temporary copy of src/ outside the
-checkout: every identity of the registry at N_MAX = 8 over the sweep
-script's five sequences, then bell_oracle(N_MAX), with a 30 s timeout and at
-most two processes at a time.  A mutant is classed by the first of these
-that applies: a failed verdict, exit 2 (a runner raised an UmbralDobError,
-which the CLI reports as unusable input), another exception, a timeout.  A
-mutant that shows none survives.  The script prints one table row per
-function, how many mutants raised each exception type, and every survivor
-with its file, line and mutation.  The mutants in EQUIVALENT were reviewed
-as no fault, each with its reason; they are counted apart and not listed as
-survivors.  The full survey takes about two minutes on two cores.
+checkout: every identity of the registry at n_max = 0 and at N_MAX = 8
+over the sweep script's five sequences, then bell_oracle(N_MAX), with a
+30 s timeout and at most two processes at a time.  A mutant is classed by
+the first of these that applies: a failed verdict, exit 2 (a runner raised
+an UmbralDobError, which the CLI reports as unusable input), another
+exception, a timeout.  A mutant that shows none survives.  The script
+prints one table row per function, how many mutants raised each exception
+type, and every survivor with its file, line and mutation.  The mutants in
+EQUIVALENT were reviewed as no fault, each with its reason; they are
+counted apart and not listed as survivors.  The full survey takes about
+two minutes on two cores.
 
     python3 scripts/mutation_survey.py
 """
@@ -54,13 +55,19 @@ EQUIVALENT = {
     "umbral_engine.PsiSequence.falling: 1 -> 2":
         "numerator and denominator start from one common factor, which Fraction cancels",
     "umbral_engine.poisson_moment_exact: len(coeffs) - 1 -> len(coeffs) + 1":
-        "two more table rows, which no coefficient reads",
+        "two more Bell numbers, which no coefficient reads",
     "umbral_engine.poisson_moment_exact: max(len(coeffs) - 1, 0) -> max(len(coeffs) - 1, 1)":
-        "one more table row below two coefficients, which no coefficient reads",
+        "one more Bell number below two coefficients, which no coefficient reads",
     "dobinski.default_ratio_threshold: Fraction(1, 2) -> Fraction(1, 3)":
         "the tail lemma holds at any threshold: 1/3 is as sound as 1/2, with wider intervals",
     "dobinski.default_ratio_threshold: range(1, cap + 1) -> range(2, cap + 1)":
         "psi never decreases, so the scan from 2 finds an index wherever the scan from 1 does",
+    "dobinski.moments: range(1, cap + 1) -> range(2, cap + 1)":
+        "psi(1) = 1 and thr < 1, so no j = 1 has psi(j) * thr >= 1",
+    "dobinski.moments: cap + 1 -> cap + 2":
+        "the least j is 2 or 3 (psi(2) * thr >= 1 for classical and Gauss, Fibonacci psi(3) = 2), far inside the scan",
+    "dobinski.moments: cap + 1 -> cap - 1":
+        "the least j is 2 or 3 (psi(2) * thr >= 1 for classical and Gauss, Fibonacci psi(3) = 2), far inside the scan",
     "dobinski.generating_function_checks: n_max + 1 -> n_max + 2":
         "one more series coefficient, which check n, series[0] after n <= n_max steps, never reaches",
     "identities.falling_moment: n_max + 1 -> n_max + 2":
@@ -85,10 +92,11 @@ sys.exit(3 if not ok else 4 if any(isinstance(exc, UmbralDobError) for exc in ra
 
 
 def run_verdicts() -> tuple[bool, list[Exception]]:
-    """Every identity of the registry at N_MAX over the sweep's sequences, then bell_oracle(N_MAX).
+    """Every identity of the registry at n_max = 0 and N_MAX over the sweep's sequences, then bell_oracle(N_MAX).
 
     Returns False at the first failed verdict; else True, with the exceptions the verdicts raised.
-    A runner that has no reference for a sequence skips it, as the sweep does.
+    A runner that has no reference for a sequence skips it, as the sweep does, and one whose
+    cases carry no sequence runs once per n_max.
     """
     from run_identity_suite import SEQUENCES
     from umbraldob.errors import UnsupportedSequenceError
@@ -96,18 +104,19 @@ def run_verdicts() -> tuple[bool, list[Exception]]:
 
     raised = []
     for runner in RUNNERS.values():
-        for seq in SEQUENCES:
-            try:
-                cases = runner(seq, N_MAX)
-            except UnsupportedSequenceError:
-                continue
-            except Exception as exc:
-                raised.append(exc)
-                continue
-            if not all(case.ok for case in cases):
-                return False, raised
-            if not any("seq" in case.params for case in cases):
-                break
+        for n_max in (0, N_MAX):
+            for seq in SEQUENCES:
+                try:
+                    cases = runner(seq, n_max)
+                except UnsupportedSequenceError:
+                    continue
+                except Exception as exc:
+                    raised.append(exc)
+                    continue
+                if not all(case.ok for case in cases):
+                    return False, raised
+                if not any("seq" in case.params for case in cases):
+                    break
     try:
         return all(row.ok for row in bell_oracle(N_MAX)), raised
     except Exception as exc:

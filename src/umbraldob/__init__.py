@@ -22,8 +22,8 @@ _EXPORTS = {  # public name -> the module that defines it
         "exact_core": "SUM_CAP CertifiedValue Poly certified_sum",
         "operator_calc": "apply_number_operator dobinski_specialization exponential_polynomial verify_conjugation",
         "umbral_engine": (
-            "PsiSequence StirlingTable bell_via_sum carlitz_q_stirling classical_stirling_table"
-            " poisson_moment_exact psi_stirling_diagnostic q_number_symbolic recurrence_table stirling2"
+            "PsiSequence StirlingTable bell_via_sum carlitz_q_stirling poisson_moment_exact"
+            " psi_stirling_diagnostic q_number_symbolic recurrence_table stirling2"
         ),
     }.items()
     for name in names.split()

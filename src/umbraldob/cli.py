@@ -31,7 +31,7 @@ from fractions import Fraction
 # Every command runs these; each imports the rest of what it runs in its own body, to keep start-up short.
 from .errors import CapExceededError, UmbralDobError
 from .exact_core import CertifiedValue, Poly
-from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, classical_stirling_table
+from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling
 
 TABLE_KINDS = ("stirling", "bell", "q-stirling", "cigl-q-stirling", "cigl-q-bell", "q-bell")
 # The names of identities.RUNNERS in its order (usage errors print them), without importing it.
@@ -85,7 +85,7 @@ def cmd_table(kind: str, n: int) -> tuple[str, list, bool]:
             raise CapExceededError(f"kind {kind} is capped at n={PARTITION_CAP} by partition counting")
         build, show = cigl_q_stirling_table, poly_coeff_list
     else:
-        build, show = classical_stirling_table, str
+        build, show = lambda n_max: carlitz_q_stirling(n_max, 1), str  # the classical int triangle
     triangle, rows = kind.endswith("stirling"), []
     # Every kind builds its tower once and reads its triangle or its row sums.
     tower = build(n)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 from . import exact_core
 from .errors import NonConvergentError
 from .exact_core import CertifiedValue, certified_sum
-from .umbral_engine import PsiSequence, bell_via_sum, classical_stirling_table, q_number_symbolic
+from .umbral_engine import PsiSequence, bell_via_sum, carlitz_q_stirling, q_number_symbolic
 
 
 def default_ratio_threshold(seq: PsiSequence, lam) -> Fraction:
@@ -111,10 +111,14 @@ def moments(seq: PsiSequence, n_max: int, power: bool) -> list[CertifiedValue]:
     for all.  Where row n-1 reached k, entry (n, k) is entry (n-1, k) times one
     factor, psi(k) or psi(k-n+1), and a zero entry stays zero; any other entry is
     computed from w.  certified_sum reads each term once, in order, so row n is kept as read.
+    A falling sweep whose last row would read past SUM_CAP raises before any row is summed.
     """
     if n_max < 0:
         raise ValueError("n must be non-negative")
-    thr, normalizer = default_ratio_threshold(seq, 1), psi_exp(seq, 1)
+    thr, normalizer, cap = default_ratio_threshold(seq, 1), psi_exp(seq, 1), exact_core.SUM_CAP
+    # falling row n is 0 below k = n, and its ratio 1/psi(k-n+1) first reaches thr at k = n+j-1
+    if not power and n_max + next(j for j in range(1, cap + 1) if seq.value(j) * thr >= 1) > cap:
+        raise NonConvergentError(f"no certified truncation point within hard cap {cap}")
     sums, row = [], []
     for n in range(n_max + 1):
         above, row = row, []
@@ -151,8 +155,8 @@ def dobinski_bell(seq: PsiSequence, n: int) -> CertifiedValue:
 
 
 def rota_bell_exact(n: int) -> int:
-    """The n-th Bell number as the row sum of the second-kind triangle."""
-    return bell_via_sum(classical_stirling_table(n), n)
+    """The n-th Bell number as the row sum of the second-kind triangle, the Carlitz tower at the int 1."""
+    return bell_via_sum(carlitz_q_stirling(n, 1), n)
 
 
 def jackson_derivative(coefficients: tuple, q) -> tuple:

@@ -14,12 +14,11 @@ from typing import Callable, NamedTuple
 
 # Each runner imports the cigl, dobinski or operator_calc routes it runs in its body, so verify loads only those.
 from .errors import NonConvergentError, UnsupportedSequenceError
-from .exact_core import CertifiedValue
+from .exact_core import CertifiedValue, Poly
 from .umbral_engine import (
     PsiSequence,
     bell_via_sum,
     carlitz_q_stirling,
-    classical_stirling_table,
     poisson_moment_exact,
     psi_stirling_diagnostic,
     q_poisson_moments,
@@ -94,11 +93,12 @@ def pmf_gf(seq: PsiSequence, n_max: int) -> list[Case]:
 
 
 def q1_reduction(seq: PsiSequence, n_max: int) -> list[Case]:
-    carlitz, classical = carlitz_q_stirling(n_max), classical_stirling_table(n_max)
-    return [
-        Case({"n": n}, [entry.evaluate(Fraction(1)) for entry in carlitz.rows[n]] == list(classical.rows[n]))
-        for n in range(n_max + 1)
-    ]
+    from .operator_calc import apply_number_operator
+    operator, cases = Poly((1,)), []
+    for n, row in enumerate(carlitz_q_stirling(n_max).rows):
+        cases.append(Case({"n": n}, [entry.evaluate(Fraction(1)) for entry in row] == list(operator.coeffs)))
+        operator = apply_number_operator(operator)
+    return cases
 
 
 RUNNERS: dict[str, Callable[[PsiSequence, int], list[Case]]] = {
@@ -132,7 +132,7 @@ def bell_oracle(n_max: int) -> list[BellRoutes]:
     from .cigl import partition_counts
     from .dobinski import moments
     from .operator_calc import dobinski_specialization
-    counts, table = partition_counts(n_max), classical_stirling_table(n_max)
+    counts, table = partition_counts(n_max), carlitz_q_stirling(n_max, 1)
     intervals = moments(PsiSequence.classical(), n_max, power=True)
     rows = []
     for n, (count, series) in enumerate(zip(counts, intervals)):

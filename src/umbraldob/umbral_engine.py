@@ -9,11 +9,11 @@ decreases, so every series that reads one has a tail.  From such a
 sequence we get generalized factorials and falling factorials.  Every
 Stirling tower comes from one three-term recurrence builder,
 T(n+1,k) = left(n,k)*T(n,k-1) + right(n,k)*T(n,k) from a seed T(0,0) that
-fixes the ring: left 1 and right k from the int 1 give the classical
-triangle; after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and right
-[k]_q from 1 in the ring of q give the Carlitz q-analogue.  No table is cached:
-each caller builds the tower it reads and holds it.  poisson_moment_exact, the
-exact moment functional, weights coefficient m of a coefficient sequence by B(m).
+fixes the ring: after Carlitz (Duke Math. J. 15, 1948), left q**(k-1) and
+right [k]_q from 1 in the ring of q give the Carlitz q-analogue, and at the
+int 1 that is the classical int triangle.  No table is cached: each caller
+builds the tower it reads and holds it.  poisson_moment_exact, the exact
+moment functional, weights coefficient m of a coefficient sequence by B(m).
 """
 
 import threading
@@ -165,20 +165,6 @@ def recurrence_table(n_max: int, left, right, seed: int | Fraction | Poly) -> St
     return StirlingTable(tuple(rows))
 
 
-def classical_stirling_table(n_max: int) -> StirlingTable:
-    """The second-kind triangle S(n+1,k) = S(n,k-1) + k*S(n,k) on plain ints."""
-    return recurrence_table(n_max, lambda n, k: 1, lambda n, k: k, 1)
-
-
-def stirling2(n: int, k: int) -> int:
-    """Number of partitions of an n-set into k nonempty blocks."""
-    if n < 0 or k < 0:
-        raise ValueError("stirling2 arguments must be non-negative")
-    if k > n:
-        return 0
-    return classical_stirling_table(n).entry(n, k)
-
-
 def carlitz_q_stirling(n_max: int, q=None) -> StirlingTable:
     """Carlitz q-Stirling triangle: S(n+1,k) = q**(k-1)*S(n,k-1) + [k]_q*S(n,k).
 
@@ -195,6 +181,15 @@ def carlitz_q_stirling(n_max: int, q=None) -> StirlingTable:
         powers.append(powers[-1] * x)
         brackets.append(brackets[-1] + powers[-2])
     return recurrence_table(n_max, lambda n, k: powers[k - 1], lambda n, k: brackets[k], powers[0])
+
+
+def stirling2(n: int, k: int) -> int:
+    """Number of partitions of an n-set into k nonempty blocks: the Carlitz tower at the int 1."""
+    if n < 0 or k < 0:
+        raise ValueError("stirling2 arguments must be non-negative")
+    if k > n:
+        return 0
+    return carlitz_q_stirling(n, 1).entry(n, k)
 
 
 def bell_via_sum(table: StirlingTable, n: int) -> int | Fraction | Poly:
@@ -222,11 +217,12 @@ def q_poisson_moments(q, lam, n_max: int) -> list:
 def poisson_moment_exact(coeffs):
     """The exact moment functional: sum of coeffs[m] * B(m), the m-th power read as the m-th Bell number.
 
+    B(m) is q_poisson_moments at q = lam = 1, the Bell-Touchard recurrence, so no Stirling tower is read.
     Scalar coefficients give a Fraction, and q-polynomial ones, as in a product of cigl_q_powers, a Poly.
     """
-    table, acc = classical_stirling_table(max(len(coeffs) - 1, 0)), Fraction(0)
-    for m, c in enumerate(coeffs):
-        acc = acc + c * bell_via_sum(table, m)
+    bell, acc = q_poisson_moments(1, 1, max(len(coeffs) - 1, 0)), Fraction(0)
+    for c, b in zip(coeffs, bell):
+        acc = acc + c * b
     return acc
 
 

@@ -1,15 +1,17 @@
-"""Brute-force oracles and an in-process CLI runner for the test-suite.
+"""Brute-force oracles, an in-process CLI runner and in-process survey mutants for the test-suite.
 
 The oracles are written directly from definitions (recursive block
 assignment, exact partial sums) and deliberately avoid the package's own
 algorithms, so a test comparing the two routes is a real cross-check.
 """
 
+import ast
 import io
 from itertools import chain
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from math import factorial, inf
+from pathlib import Path
 from types import SimpleNamespace
 
 from umbraldob.cli import main
@@ -44,6 +46,32 @@ def invoke(*args: str):
         except SystemExit as exc:
             exit_code = 0 if exc.code is None else exc.code
     return SimpleNamespace(exit_code=exit_code, stdout=out.getvalue(), stderr=err.getvalue(), output=log.getvalue())
+
+
+def mutated_definition(survey, mutant, module):
+    """The function or method that one mutant of scripts/mutation_survey.py changes, compiled in module's namespace.
+
+    survey is the script's namespace, as runpy.run_path returns it, and mutant.function a
+    top-level function of module or a method of one of its classes.
+    """
+    tree = ast.parse(Path(module.__file__).read_text())
+    _, node, index, _ = survey["sites"](tree)[mutant.site]
+    survey["_apply"](node, index)
+    body = tree.body
+    for name in mutant.function.split("."):
+        definition = next(d for d in body if getattr(d, "name", None) == name)
+        body = definition.body
+    defined = {}
+    exec(compile(ast.Module([definition], []), module.__file__, "exec"), module.__dict__, defined)
+    return defined[definition.name]
+
+
+def patch_everywhere(patch, holders, real, fake):
+    """Set fake in place of real under every name that any of holders (modules or classes) gives it."""
+    for holder in holders:
+        for name, value in list(vars(holder).items()):
+            if value is real:
+                patch.setattr(holder, name, fake)
 
 
 def naive_partitions(n):

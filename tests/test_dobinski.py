@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import exp_partial, naive_gf_coefficient_verdict, naive_q_difference
-from umbraldob import dobinski
+from umbraldob import dobinski, exact_core
 from umbraldob.dobinski import (
     GeneratingFunctionCheck,
     PsiPoissonDistribution,
@@ -223,6 +223,28 @@ class TestFallingMoment:
         # every term up to SUM_CAP vanishes, so no interval read up to the cap brackets the moment 1
         with pytest.raises(NonConvergentError, match=f"hard cap {SUM_CAP}"):
             verify_falling_moment(PsiSequence.classical(), SUM_CAP + 1)
+
+    @pytest.mark.parametrize("seq", [CLASSICAL, FIB, QUARTER, THREE_HALVES], ids=lambda seq: seq.label)
+    def test_sweep_is_refused_where_its_last_row_cannot_truncate(self, monkeypatch, seq):
+        # at a cap of 60, a falling sweep to n runs exactly when row n alone truncates, and a refused
+        # sweep sums nothing past the normalizer
+        monkeypatch.setattr(exact_core, "SUM_CAP", 60)
+        thr = default_ratio_threshold(seq, 1)
+
+        def row_truncates(n):
+            try:
+                certified_sum(lambda k: seq.falling(k, n) / seq.factorial(k), thr)
+            except NonConvergentError:
+                return False
+            return True
+
+        last = max(n for n in range(61) if row_truncates(n))
+        assert len(moments(seq, last, power=False)) == last + 1
+        sums = []
+        monkeypatch.setattr(dobinski, "certified_sum", lambda term, t: sums.append(t) or certified_sum(term, t))
+        with pytest.raises(NonConvergentError, match="hard cap 60"):
+            moments(seq, last + 1, power=False)
+        assert len(sums) == 1
 
     # Every kind, Gauss at q below and above 1.
     WEIGHT_SEQS = [

@@ -12,15 +12,14 @@ from math import comb
 import pytest
 from helpers import tower_definition_failures
 
-from umbraldob import cigl, dobinski, identities, operator_calc
+from umbraldob import cigl, dobinski, identities, operator_calc, umbral_engine
 from umbraldob.exact_core import CertifiedValue, Poly
 from umbraldob.identities import RUNNERS, bell_oracle
 from umbraldob.umbral_engine import (
     GAUSS_Q,
     PsiSequence,
     StirlingTable,
-    bell_via_sum,
-    classical_stirling_table,
+    q_poisson_moments,
     recurrence_table,
 )
 
@@ -33,6 +32,7 @@ REAL_COUNTS = cigl.partition_counts
 REAL_MOMENTS = dobinski.moments
 REAL_CARLITZ = identities.carlitz_q_stirling
 REAL_BELL = identities.bell_via_sum
+REAL_RECURRENCE = recurrence_table
 
 
 def operator_weight_m(p):
@@ -173,9 +173,9 @@ def cigl_powers_shift_q_i_plus_one():
 
 def moment_reads_b4_for_x3(coeffs):
     """The exact moment functional with the Bell number B(4) substituted for x**3."""
-    table, acc = classical_stirling_table(max(len(coeffs) - 1, 4)), Fraction(0)
+    bell, acc = q_poisson_moments(1, 1, max(len(coeffs) - 1, 4)), Fraction(0)
     for m, c in enumerate(coeffs):
-        acc = acc + c * bell_via_sum(table, 4 if m == 3 else m)
+        acc = acc + c * bell[4 if m == 3 else m]
     return acc
 
 
@@ -190,9 +190,16 @@ def certified_sum_upper_at_quarter(term, ratio_threshold):
     return CertifiedValue(sum_.lo, sum_.lo + sum_.width / 4)
 
 
-def classical_right_weight_k_plus_one_at_4_2(n_max):
-    """The classical triangle with right weight k+1 in place of k at (n, k) = (4, 2)."""
+def classical_right_weight_k_plus_one_at_4_2(n_max, q=None):
+    """The Carlitz tower at the int 1, the classical triangle, with right weight k+1 in place of k at (n, k) = (4, 2)."""
+    if type(q) is not int:
+        return REAL_CARLITZ(n_max, q)
     return recurrence_table(n_max, lambda n, k: 1, lambda n, k: k + ((n, k) == (4, 2)), 1)
+
+
+def recurrence_right_at_k_plus_one(n_max, left, right, seed):
+    """The three-term recurrence with the right weight read at k+1 for k <= n, so T(n+1, 0) = right(n, 1) * T(n, 0)."""
+    return REAL_RECURRENCE(n_max, left, lambda n, k: right(n, k + (k <= n)), seed)
 
 
 def gauss_psi_5_nudged(self, n):
@@ -234,10 +241,6 @@ def polynomial_towers():
 
 def series_and_oracle():
     return series_verdicts() + oracle()
-
-
-def towers_and_oracle():
-    return polynomial_towers() + oracle()
 
 
 def every_verdict():
@@ -345,10 +348,17 @@ MUTANTS = [
         id="sum-upper-at-quarter",
     ),
     pytest.param(
-        [(identities, "classical_stirling_table", classical_right_weight_k_plus_one_at_4_2)],
-        towers_and_oracle,
-        10,
+        [(identities, "carlitz_q_stirling", classical_right_weight_k_plus_one_at_4_2)],
+        series_and_oracle,
+        12,
         id="classical-right-k+1-at-4-2",
+    ),
+    pytest.param(
+        [(umbral_engine, "recurrence_table", recurrence_right_at_k_plus_one),
+         (cigl, "recurrence_table", recurrence_right_at_k_plus_one)],
+        polynomial_towers,
+        20,
+        id="recurrence-right-at-k+1",
     ),
     pytest.param([(PsiSequence, "value", gauss_psi_5_nudged)], every_verdict, 24, id="gauss-psi-5-plus-2^-20"),
     pytest.param(
@@ -376,7 +386,10 @@ def test_mutant_fails_a_verdict(monkeypatch, patches, verdicts, floor):
         pytest.param("q-stirling", carlitz_left_weight_q_k, list(range(1, 11)), id="carlitz-left-q^k"),
         pytest.param("q-stirling", carlitz_row_6_swapped, [6], id="carlitz-row-6-swapped"),
         pytest.param(
-            "stirling", classical_right_weight_k_plus_one_at_4_2, list(range(5, 11)), id="classical-right-k+1-at-4-2"
+            "stirling",
+            lambda n_max: classical_right_weight_k_plus_one_at_4_2(n_max, 1),
+            list(range(5, 11)),
+            id="classical-right-k+1-at-4-2",
         ),
     ],
 )

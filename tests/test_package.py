@@ -18,7 +18,7 @@ EXPORTS = [
     "CapExceededError", "CertifiedValue", "GeneratingFunctionCheck", "NegativeTermError", "NonConvergentError",
     "PARTITION_CAP", "Poly", "PsiPoissonDistribution", "PsiSequence", "SUM_CAP", "StirlingTable", "UmbralDobError",
     "apply_number_operator", "bell_via_sum", "carlitz_q_stirling", "certified_sum", "cigl_q_bell",
-    "cigl_q_dobinski_exact", "cigl_q_powers", "cigl_q_stirling_table", "classical_stirling_table",
+    "cigl_q_dobinski_exact", "cigl_q_powers", "cigl_q_stirling_table",
     "default_ratio_threshold", "dobinski_bell", "dobinski_specialization", "enumerate_partitions",
     "exponential_polynomial", "generating_function_checks", "jackson_derivative", "partition_counts",
     "poisson_moment_exact", "psi_exp", "psi_stirling_diagnostic", "q_number_symbolic", "recurrence_table",

@@ -1,6 +1,5 @@
 """Smoke tests for the identity sweep script, which runs the identity registry, and the mutation survey."""
 
-import ast
 import importlib
 import os
 import runpy
@@ -8,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from helpers import mutated_definition, patch_everywhere
 from umbraldob import exact_core, identities
 from umbraldob.cigl import PARTITION_CAP
 from umbraldob.errors import UnsupportedSequenceError
@@ -132,18 +132,9 @@ def test_no_kernel_mutant_survives_in_process(monkeypatch):
     for module_name, functions in SURVEY_KERNELS.items():
         module = importlib.import_module(f"umbraldob.{module_name}")
         for mutant in (m for m in survey["mutants"](module_name) if m.function in functions):
-            tree = ast.parse(Path(module.__file__).read_text())
-            _, node, index, _ = survey["sites"](tree)[mutant.site]
-            survey["_apply"](node, index)
-            definition = next(d for d in tree.body if getattr(d, "name", None) == mutant.function)
-            defined = {}
-            exec(compile(ast.Module([definition], []), module.__file__, "exec"), module.__dict__, defined)
-            real = getattr(module, mutant.function)
             with monkeypatch.context() as patch:
-                for holder in modules:
-                    for name, value in list(vars(holder).items()):
-                        if value is real:
-                            patch.setattr(holder, name, defined[mutant.function])
+                real = getattr(module, mutant.function)
+                patch_everywhere(patch, modules, real, mutated_definition(survey, mutant, module))
                 if survey["run_verdicts"]() == (True, []):
                     survivors.append(mutant.key)
             count += 1

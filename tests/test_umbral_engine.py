@@ -18,7 +18,6 @@ from umbraldob.umbral_engine import (
     StirlingTable,
     bell_via_sum,
     carlitz_q_stirling,
-    classical_stirling_table,
     psi_stirling_diagnostic,
     q_number_symbolic,
     q_poisson_moments,
@@ -205,11 +204,11 @@ class TestStirling2:
 
 
 class TestIntegerTower:
-    """The classical triangle stays on ints; the q-towers stay on polynomials."""
+    """The classical triangle, the Carlitz tower at the int 1, stays on ints; the q-towers stay on polynomials."""
 
     @pytest.mark.parametrize("n_max", [0, 1, 7, 40])
     def test_entries_and_row_sums_are_ints(self, n_max):
-        t = classical_stirling_table(n_max)
+        t = carlitz_q_stirling(n_max, 1)
         for n in range(n_max + 1):
             assert all(type(t.entry(n, k)) is int for k in range(n + 1))
             assert type(bell_via_sum(t, n)) is int
@@ -265,8 +264,9 @@ class TestCarlitzTable:
 
     def test_tower_at_int_one_is_the_int_triangle(self):
         # the weights are built in q's own ring, so the int 1 gives ints, never Fractions; rows 0..30
+        # satisfy j**n = sum_k S(n,k) * j*(j-1)*...*(j-k+1), a definition that shares no code with the tower
         tower = carlitz_q_stirling(30, 1)
-        assert tower.rows == classical_stirling_table(30).rows
+        assert tower_definition_failures("stirling", tower.rows) == []
         assert all(type(entry) is int for row in tower.rows for entry in row)
 
     @given(st.integers(1, 16), st.integers(1, 16), st.integers(0, 8))
@@ -297,15 +297,15 @@ class TestStirlingTable:
         with pytest.raises(TypeError):
             StirlingTable(1, ((1,), (0, 1)))  # the rows alone fix n_max
 
-    @pytest.mark.parametrize("rows", [(), ((1,),), ((1,), (0, 1)), classical_stirling_table(6).rows])
+    @pytest.mark.parametrize("rows", [(), ((1,),), ((1,), (0, 1)), carlitz_q_stirling(6, 1).rows])
     def test_n_max_counts_the_rows(self, rows):
         t = StirlingTable(rows)
         assert t.n_max == len(rows) - 1 and StirlingTable.__slots__ == ("rows",)
 
     def test_value_type(self):
         t = StirlingTable(((1,), (0, 1)))
-        assert t == classical_stirling_table(1) and hash(t) == hash(classical_stirling_table(1))
-        assert t != classical_stirling_table(2)
+        assert t == carlitz_q_stirling(1, 1) and hash(t) == hash(carlitz_q_stirling(1, 1))
+        assert t != carlitz_q_stirling(2, 1)
         with pytest.raises(AttributeError):
             t.n_max = 2
         assert pickle.loads(pickle.dumps(t)) == t and repr(t) == "StirlingTable(rows=((1,), (0, 1)))"
@@ -313,12 +313,12 @@ class TestStirlingTable:
 
 class TestBellViaSum:
     def test_classical(self):
-        t = classical_stirling_table(6)
+        t = carlitz_q_stirling(6, 1)
         assert bell_via_sum(t, 5) == naive_bell(5) == 52
         assert bell_via_sum(t, 0) == 1
 
     def test_row_out_of_range(self):
-        t = classical_stirling_table(3)
+        t = carlitz_q_stirling(3, 1)
         for n in (-1, 4):
             with pytest.raises(ValueError):
                 bell_via_sum(t, n)
@@ -337,12 +337,11 @@ class TestQPoissonMoments:
     @pytest.mark.parametrize("q", [Fraction(1, 4), Fraction(1, 2), Fraction(3, 2), 1], ids=str)
     @pytest.mark.parametrize("lam", [1, 2, Fraction(1, 3)], ids=str)
     def test_recurrence_is_the_touchard_polynomial_of_the_tower(self, q, lam):
-        # M_n(lam) = sum_k S_q(n, k) * lam**k, read from the Carlitz tower at q and, at q = 1, the int triangle
-        towers = [carlitz_q_stirling(20, q)] + ([classical_stirling_table(20)] if q == 1 else [])
+        # M_n(lam) = sum_k S_q(n, k) * lam**k, read from the Carlitz tower at q: at the int 1, the int triangle
         moments = q_poisson_moments(q, lam, 20)
         assert len(moments) == 21
-        for tower in towers:
-            assert [sum(entry * lam**k for k, entry in enumerate(row)) for row in tower.rows] == moments
+        rows = carlitz_q_stirling(20, q).rows
+        assert [sum(entry * lam**k for k, entry in enumerate(row)) for row in rows] == moments
 
     def test_classical_bell_numbers_are_ints(self):
         moments = q_poisson_moments(1, 1, 12)
