@@ -70,8 +70,12 @@ EQUIVALENT = {
         "the least j is 2 or 3 (psi(2) * thr >= 1 for classical and Gauss, Fibonacci psi(3) = 2), far inside the scan",
     "dobinski.generating_function_checks: n_max + 1 -> n_max + 2":
         "one more series coefficient, which check n, series[0] after n <= n_max steps, never reaches",
+    "operator_calc.verify_conjugation: max_degree + 1 -> max_degree + 2":
+        "it checks one more monomial, of degree max_degree + 1",
     "identities.falling_moment: n_max + 1 -> n_max + 2":
         "one more expected value, which no case reads",
+    "identities.pmf_gf: generating_function_checks(seq, 2, n_max) -> generating_function_checks(seq, 3, n_max)":
+        "the chain read at lam = 3: it is decisive at every lam != 1, as at 2",
 }
 
 # Run inside the mutant's process: exit 3 on a failed verdict, else 4 after an UmbralDobError, 5 after

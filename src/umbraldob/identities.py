@@ -1,7 +1,10 @@
 """Registry of the identity suites behind ``umbraldob verify`` and the sweep script.
 
 Each runner takes a psi-sequence and a depth n_max and returns one Case per
-checked instance; its RUNNERS key names the identity.  A runner whose verdicts
+checked instance; its RUNNERS key names the identity.  RUNNERS requires the
+cases of each runner but conjugation, whose one case reaches degree n_max, to
+carry n = 0..n_max in order: a case out of place fails, and each n left out is
+a failed case.  A runner whose verdicts
 depend on the sequence puts its label under "seq" in every case, and one whose
 identity has no reference route for the sequence kind raises
 UnsupportedSequenceError before running any route.
@@ -10,6 +13,7 @@ bell_oracle compares the Bell numbers along every independent route for
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, NamedTuple
 
 # Each runner imports the cigl, dobinski or operator_calc routes it runs in its body, so verify loads only those.
@@ -101,13 +105,31 @@ def q1_reduction(seq: PsiSequence, n_max: int) -> list[Case]:
     return cases
 
 
-RUNNERS: dict[str, Callable[[PsiSequence, int], list[Case]]] = {
-    "falling-moment": falling_moment,
-    "dobinski": dobinski,
-    "cigl-dobinski": cigl_dobinski,
+Runner = Callable[[PsiSequence, int], list[Case]]
+
+
+def _one_case_per_n(runner: Runner) -> Runner:
+    """runner, whose cases must carry n = 0..n_max in order: a case out of place fails, and so does each n left out."""
+
+    def checked(seq: PsiSequence, n_max: int) -> list[Case]:
+        cases = runner(seq, n_max)
+        label = {"seq": seq.label} if any("seq" in case.params for case in cases) else {}
+        return [  # n is None for a case past n_max, and case None for an n past the last case
+            Case({**label, "n": n}, False) if case is None
+            else case._replace(ok=case.ok and n is not None and case.params.get("n") == n)
+            for n, case in zip_longest(range(n_max + 1), cases)
+        ]
+
+    return checked
+
+
+RUNNERS: dict[str, Runner] = {
+    "falling-moment": _one_case_per_n(falling_moment),
+    "dobinski": _one_case_per_n(dobinski),
+    "cigl-dobinski": _one_case_per_n(cigl_dobinski),
     "conjugation": conjugation,
-    "pmf-gf": pmf_gf,
-    "q1-reduction": q1_reduction,
+    "pmf-gf": _one_case_per_n(pmf_gf),
+    "q1-reduction": _one_case_per_n(q1_reduction),
 }
 
 
@@ -128,14 +150,17 @@ def bell_oracle(n_max: int) -> list[BellRoutes]:
     A row passes when the count and the operator value equal the row sum and
     the series interval contains it.  The counts, the table and the series (one
     moment sweep to n_max) are built once for all n; the operator runs afresh for each n.
+    Like a runner's cases, the rows must carry n = 0..n_max: a count list or sweep
+    of any other length cannot be matched to its n, and every row fails.
     """
     from .cigl import partition_counts
     from .dobinski import moments
     from .operator_calc import dobinski_specialization
     counts, table = partition_counts(n_max), carlitz_q_stirling(n_max, 1)
     intervals = moments(PsiSequence.classical(), n_max, power=True)
-    rows = []
+    complete, rows = len(counts) == len(intervals) == n_max + 1, []
     for n, (count, series) in enumerate(zip(counts, intervals)):
         rota, operator = bell_via_sum(table, n), dobinski_specialization(n)
-        rows.append(BellRoutes(n, count, rota, operator, series, count == rota == operator and series.contains(rota)))
+        ok = complete and count == rota == operator and series.contains(rota)
+        rows.append(BellRoutes(n, count, rota, operator, series, ok))
     return rows

@@ -1,4 +1,4 @@
-"""Brute-force oracles, an in-process CLI runner and in-process survey mutants for the test-suite.
+"""Brute-force oracles, an in-process CLI runner and in-process survey and catalogue mutants for the test-suite.
 
 The oracles are written directly from definitions (recursive block
 assignment, exact partial sums) and deliberately avoid the package's own
@@ -7,6 +7,7 @@ algorithms, so a test comparing the two routes is a real cross-check.
 
 import ast
 import io
+import textwrap
 from itertools import chain
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -48,6 +49,22 @@ def invoke(*args: str):
     return SimpleNamespace(exit_code=exit_code, stdout=out.getvalue(), stderr=err.getvalue(), output=log.getvalue())
 
 
+def _definition(tree, qualname):
+    """The def of qualname, a top-level function or a method of a top-level class, in a module's tree."""
+    body = tree.body
+    for name in qualname.split("."):
+        definition = next(d for d in body if getattr(d, "name", None) == name)
+        body = definition.body
+    return definition
+
+
+def _compiled(definition, module):
+    """The object that one def, decorators included, makes when it runs in module's namespace."""
+    defined = {}
+    exec(compile(ast.Module([definition], []), module.__file__, "exec"), module.__dict__, defined)
+    return defined[definition.name]
+
+
 def mutated_definition(survey, mutant, module):
     """The function or method that one mutant of scripts/mutation_survey.py changes, compiled in module's namespace.
 
@@ -57,13 +74,25 @@ def mutated_definition(survey, mutant, module):
     tree = ast.parse(Path(module.__file__).read_text())
     _, node, index, _ = survey["sites"](tree)[mutant.site]
     survey["_apply"](node, index)
-    body = tree.body
-    for name in mutant.function.split("."):
-        definition = next(d for d in body if getattr(d, "name", None) == name)
-        body = definition.body
-    defined = {}
-    exec(compile(ast.Module([definition], []), module.__file__, "exec"), module.__dict__, defined)
-    return defined[definition.name]
+    return _compiled(_definition(tree, mutant.function), module)
+
+
+def edited_definition(module, qualname, *edits):
+    """The live source of module's qualname with each (before, after) text edit made, compiled in module's namespace.
+
+    Each before must occur exactly once in the definition, decorators and docstring included;
+    otherwise this raises ValueError naming qualname and before.  Line numbers stay the file's.
+    """
+    source = Path(module.__file__).read_text()
+    definition = _definition(ast.parse(source), qualname)
+    first = min(node.lineno for node in [definition, *definition.decorator_list])
+    text = textwrap.dedent("".join(source.splitlines(keepends=True)[first - 1 : definition.end_lineno]))
+    for before, after in edits:
+        if text.count(before) != 1:
+            raise ValueError(f"{qualname}: {before!r} occurs {text.count(before)} times, not once")
+        text = text.replace(before, after)
+    (edited,) = ast.increment_lineno(ast.parse(text), first - 1).body
+    return _compiled(edited, module)
 
 
 def patch_everywhere(patch, holders, real, fake):

@@ -8,7 +8,7 @@ from umbraldob import cigl, dobinski, identities, operator_calc
 from umbraldob.cigl import PARTITION_CAP
 from umbraldob.errors import CapExceededError
 from umbraldob.exact_core import CertifiedValue
-from umbraldob.identities import RUNNERS, bell_oracle
+from umbraldob.identities import RUNNERS, Case, bell_oracle
 from umbraldob.umbral_engine import PsiSequence
 
 # B(0..13), OEIS A000110
@@ -68,6 +68,12 @@ class TestBellOracle:
         getattr(self, f"_break_{route}")(monkeypatch)
         assert [row.ok for row in bell_oracle(4)] == [True, True, False, True, True]
 
+    @pytest.mark.parametrize("holder, route", [(cigl, "partition_counts"), (dobinski, "moments")])
+    def test_a_route_one_value_short_fails_every_row(self, holder, route, monkeypatch):
+        real = getattr(holder, route)
+        monkeypatch.setattr(holder, route, lambda *args, **kwargs: real(*args, **kwargs)[:-1])
+        assert [row.ok for row in bell_oracle(4)] == [False] * 4
+
 
 @pytest.mark.parametrize("name", RUNNERS)
 def test_cases_do_not_name_their_identity(name):
@@ -80,3 +86,19 @@ def test_cases_do_not_name_their_identity(name):
             assert [case.params for case in cases] == [{"max_degree": 3}]
         else:
             assert [case.params["n"] for case in cases] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "ns, verdicts",
+    [
+        pytest.param([0, 1, 2], [True, True, True, False], id="last-n-missing"),
+        pytest.param([1, 0, 2, 3], [False, False, True, True], id="out-of-order"),
+        pytest.param([0, 1, 2, 3, 4], [True] * 4 + [False], id="one-case-too-many"),
+        pytest.param([], [False] * 4, id="no-case"),
+    ],
+)
+def test_a_runner_must_return_n_0_to_n_max_in_order(ns, verdicts):
+    runner = identities._one_case_per_n(lambda seq, n_max: [Case({"seq": seq.label, "n": n}, True) for n in ns])
+    cases = runner(PsiSequence.classical(), 3)
+    assert [case.ok for case in cases] == verdicts
+    assert [case.params["n"] for case in cases[len(ns):]] == list(range(len(ns), 4))  # a failed case per missing n
